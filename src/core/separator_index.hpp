@@ -3,18 +3,20 @@
 // The §6 algorithm's partition tree is useful beyond the all-k-NN
 // computation it was built for: marching a query ball down the tree
 // (exactly the Fast Correction reachability of Lemma 6.3) enumerates
-// every point within a radius, and an expanding-radius march answers
-// k-nearest-neighbor queries for arbitrary query points. This class
-// packages that as a queryable index — the thing a downstream user
-// actually wants from a "sphere separator" library.
+// every point within a radius, and the same reachability test, applied
+// to the shrinking k-th-neighbor ball, prunes one branch-and-bound
+// descent that answers k-nearest-neighbor queries for arbitrary query
+// points. This class packages that as a queryable index — the thing a
+// downstream user actually wants from a "sphere separator" library.
 //
 // The tree is an arena-backed PartitionForest: one contiguous node
 // vector with 32-bit child indices, built with atomic bump allocation
-// under the parallel recursion. Single queries walk the flat nodes with
-// an explicit stack; the batched entry points (batch_radius, batch_knn)
-// serve many queries at once — batch_radius marches the whole query set
-// level-synchronously down the forest with parallel_for, which is the
-// serving-shaped access pattern the flat layout exists for.
+// under the parallel recursion. Single queries walk the flat nodes (an
+// explicit stack for the ball march, recursion for the k-NN descent);
+// the batched entry points (batch_radius, batch_knn) serve many queries
+// at once — batch_radius marches the whole query set level-synchronously
+// down the forest with parallel_for, which is the serving-shaped access
+// pattern the flat layout exists for.
 //
 // Guarantees are exact (not approximate): a leaf is reachable by a ball
 // B whenever B could intersect the leaf's region, so every point inside
@@ -31,7 +33,6 @@
 #include "core/config.hpp"
 #include "core/partition_forest.hpp"
 #include "core/separator_search.hpp"
-#include "geometry/aabb.hpp"
 #include "geometry/ball.hpp"
 #include "geometry/point.hpp"
 #include "knn/block_store.hpp"
@@ -71,10 +72,6 @@ class SeparatorIndex {
     SEPDC_CHECK_MSG(!points.empty(), "index over empty point set");
     for (std::size_t i = 0; i < perm_.size(); ++i)
       perm_[i] = static_cast<std::uint32_t>(i);
-    auto box = geo::Aabb<D>::empty();
-    for (const auto& p : points_) box.expand(p);
-    diameter_ = std::max(box.extent() * std::sqrt(double(D)), 1e-300);
-    bbox_center_ = box.center();
     Rng rng(cfg.seed);
     std::uint32_t root =
         build(0, static_cast<std::uint32_t>(points.size()), rng, 0, pool);
@@ -89,9 +86,7 @@ class SeparatorIndex {
   // Relocated storage for the zero-copy snapshot load path
   // (io/snapshot_file.hpp): every span — typically an mmap-ed file
   // section that must outlive the index — carries exactly the arrays a
-  // built index owns on the heap, plus the derived scalars the queries
-  // need (recomputing them would touch every point, which defeats
-  // page-on-demand loading).
+  // built index owns on the heap, plus the root and the build config.
   struct Relocated {
     std::span<const geo::Point<D>> points;
     std::span<const std::uint32_t> perm;
@@ -102,8 +97,6 @@ class SeparatorIndex {
     std::span<const std::uint8_t> block_lanes;
     std::uint32_t root = kNoChild;
     SeparatorIndexConfig cfg;
-    double diameter = 1.0;
-    geo::Point<D> bbox_center{};
   };
 
   // Adopts relocated storage without building: the views are served
@@ -144,8 +137,6 @@ class SeparatorIndex {
     index.blocks_ = knn::PointBlockStore<D>::adopt(
         r.block_coords, r.block_ids, r.block_lanes);
     index.cfg_ = r.cfg;
-    index.diameter_ = r.diameter;
-    index.bbox_center_ = r.bbox_center;
     return index;
   }
 
@@ -156,8 +147,8 @@ class SeparatorIndex {
 
   // Const snapshot view: the indexed points (in input order) and the
   // build configuration. A service that publishes this index as an
-  // immutable snapshot uses these to derive fallback structures and to
-  // rebuild a successor generation without retaining the input.
+  // immutable snapshot uses these to rebuild a successor generation
+  // without retaining the input.
   std::span<const geo::Point<D>> points() const { return points_.span(); }
   const SeparatorIndexConfig& config() const { return cfg_; }
 
@@ -167,15 +158,12 @@ class SeparatorIndex {
     return leaf_blocks_.span();
   }
   const knn::PointBlockStore<D>& blocks() const { return blocks_; }
-  double diameter() const { return diameter_; }
-  const geo::Point<D>& bbox_center() const { return bbox_center_; }
 
   // Invokes fn(id, dist2) for every indexed point with
-  // distance(point, center) <= radius (closed ball). This is the shared
-  // radius-boundary contract (docs/kernels.md): knn::KdTree — the
-  // service's punt fallback — implements the identical closed-ball
-  // semantics via the same kernels::filter_closed_ball, so boundary
-  // points can never differ between the batched and punted paths.
+  // distance(point, center) <= radius (closed ball). This is the
+  // radius-boundary contract (docs/kernels.md): the leaf filter is
+  // kernels::filter_closed_ball, the same one batch_radius applies, so
+  // boundary points never differ between the batched and punted paths.
   template <class Fn>
   void for_each_in_ball(const geo::Point<D>& center, double radius,
                         Fn fn) const {
@@ -201,28 +189,17 @@ class SeparatorIndex {
     return count;
   }
 
-  // Exact k nearest neighbors of an arbitrary query point by expanding
-  // fixed-radius searches: start from the leaf that contains q (its
-  // diameter calibrates the initial radius) and double until k points
-  // are found *and* the k-th distance is within the searched radius.
-  // `exclude` skips one point id (self-queries).
+  // Exact k nearest neighbors of an arbitrary query point, by one
+  // branch-and-bound descent: go to the side of each separator that holds
+  // q first, then visit the far side only when the current k-th ball
+  // (radius sqrt(worst_dist2)) could reach it — the Lemma 6.3
+  // reachability test, with tangency counted as reachable so an
+  // equal-distance, smaller-id point across a separator still wins its
+  // tie. `exclude` skips one point id (self-queries).
   knn::TopK knn(const geo::Point<D>& q, std::size_t k,
-                std::uint32_t exclude = 0xffffffffu) const {
+                std::uint32_t exclude = kNoExclude) const {
     knn::TopK best(k);
-    if (k == 0) return best;
-    // A ball of this radius is guaranteed to contain every indexed point.
-    double cover = geo::distance(q, bbox_center_) + diameter_;
-    double radius = std::min(initial_radius(q), cover);
-    for (int round = 0; round < 128; ++round) {
-      best = knn::TopK(k);
-      for_each_in_ball(q, radius, [&](std::uint32_t id, double d2) {
-        if (id != exclude) best.offer(d2, id);
-      });
-      if (best.full() && best.worst_dist2() <= radius * radius) return best;
-      if (radius >= cover) return best;  // the whole data set was scanned
-      radius = radius > 0.0 ? std::min(radius * 2.0, cover)
-                            : diameter_ * 1e-9;
-    }
+    if (k > 0) knn_descend(forest_.root_id(), q, exclude, best);
     return best;
   }
 
@@ -331,8 +308,7 @@ class SeparatorIndex {
   }
 
   // Exact k-NN for a batch of queries, parallel over disjoint result
-  // rows; each query runs the expanding-radius search over the flat
-  // tree. Returns, per query, the neighbors sorted by distance. When
+  // rows; each query runs the knn() descent. Returns, per query, the neighbors sorted by distance. When
   // `exclude` is non-empty it must have one point id per query (or
   // kNoExclude) to skip — the all-k-NN self-exclusion shape.
   std::vector<std::vector<knn::TopK::Entry>> batch_knn(
@@ -348,7 +324,12 @@ class SeparatorIndex {
                        exclude.empty() ? kNoExclude : exclude[i])
                        .take_sorted();
         },
-        /*grain=*/8);
+        // One search is ~2.5 us (n = 2^17 clustered 2-D, k = 8), so 16
+        // queries make a ~40 us task. On 4 cores a 64-query batch took
+        // 66-198 us at grain 16, 66-217 us at 8, 67-258 us at 2-4 and
+        // 158-181 us serially (the spread is host load): 16 matches the
+        // finer grains when cores are free and loses least when not.
+        /*grain=*/16);
     return out;
   }
 
@@ -454,21 +435,35 @@ class SeparatorIndex {
     }
   }
 
-  // Radius seed for expanding k-NN: the spacing scale of the leaf that
-  // the query point lands in.
-  double initial_radius(const geo::Point<D>& q) const {
-    const ForestNode<D>* node = &forest_.root();
-    while (!node->is_leaf()) {
-      node = &forest_.node(node->separator.classify(q) == geo::Side::Inner
-                               ? node->inner
-                               : node->outer);
+  // The knn() descent below `id`. q's distance to the separator is taken
+  // once per inner node and reused for the far-side test after the near
+  // side has tightened the bound. While `best` is not full its bound is
+  // +inf, so every far side is reachable.
+  void knn_descend(std::uint32_t id, const geo::Point<D>& q,
+                   std::uint32_t exclude, knn::TopK& best) const {
+    const ForestNode<D>& node = forest_.node(id);
+    if (node.is_leaf()) {
+      blocks_.scan(leaf_blocks_[id], q,
+                   [&](const double* dist2s, const std::uint32_t* ids,
+                       std::size_t lanes) {
+                     best.offer_block(dist2s, ids, lanes, exclude);
+                   });
+      return;
     }
-    auto box = geo::Aabb<D>::empty();
-    box.expand(q);
-    for (std::uint32_t i = node->begin; i < node->end; ++i)
-      box.expand(points_[perm_[i]]);
-    double extent = box.extent();
-    return extent > 0.0 ? extent : diameter_ * 1e-6;
+    const geo::Side near = node.separator.classify(q);
+    const double center_dist = node.separator.center_distance(q);
+    knn_descend(near == geo::Side::Inner ? node.inner : node.outer, q,
+                exclude, best);
+    if (best.full()) {
+      const geo::Region region = node.separator.classify_at(
+          center_dist, std::sqrt(best.worst_dist2()));
+      const geo::Region near_region = near == geo::Side::Inner
+                                          ? geo::Region::Inner
+                                          : geo::Region::Outer;
+      if (region == near_region) return;  // ball strictly on q's side
+    }
+    knn_descend(near == geo::Side::Inner ? node.outer : node.inner, q,
+                exclude, best);
   }
 
   SeparatorIndex() = default;  // adopt() fills the members in
@@ -480,8 +475,6 @@ class SeparatorIndex {
   knn::PointBlockStore<D> blocks_;          // leaf payloads, perm_ order
   // Indexed by forest node id.
   arena::ArenaVec<knn::BlockRange> leaf_blocks_;
-  double diameter_ = 1.0;
-  geo::Point<D> bbox_center_{};
 };
 
 }  // namespace sepdc::core

@@ -51,13 +51,22 @@ Side classify_point(const Sphere<D>& s, const Point<D>& p) {
 // margin widens the Cut band (conservative: a cut ball is the one the
 // algorithms must correct, so erring toward Cut preserves correctness even
 // when the square roots round unfavorably).
+//
+// `classify_ball_at` is the same test for a ball of radius `radius` whose
+// centre lies at distance `dist` from the centre of a sphere of radius
+// `sphere_radius` — the form a search that reuses one centre distance
+// across many radii consumes.
+inline Region classify_ball_at(double sphere_radius, double dist,
+                               double radius) {
+  double margin = 1e-12 * (dist + radius + sphere_radius);
+  if (dist + radius < sphere_radius - margin) return Region::Inner;
+  if (dist - radius > sphere_radius + margin) return Region::Outer;
+  return Region::Cut;
+}
+
 template <int D>
 Region classify_ball(const Sphere<D>& s, const Ball<D>& b) {
-  double dist = distance(s.center, b.center);
-  double margin = 1e-12 * (dist + b.radius + s.radius);
-  if (dist + b.radius < s.radius - margin) return Region::Inner;
-  if (dist - b.radius > s.radius + margin) return Region::Outer;
-  return Region::Cut;
+  return classify_ball_at(s.radius, distance(s.center, b.center), b.radius);
 }
 
 }  // namespace sepdc::geo

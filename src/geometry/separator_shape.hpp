@@ -74,16 +74,30 @@ class SeparatorShape {
 
   // Ball classification; tangency counts as Cut.
   Region classify(const Ball<D>& b) const {
+    return classify_at(center_distance(b.center), b.radius);
+  }
+
+  // How far q sits from the surface, in the form classify_at consumes:
+  // the distance to the sphere's centre, or the signed distance to the
+  // plane (negative on the normal's inner side).
+  double center_distance(const Point<D>& q) const {
+    if (kind_ == Kind::Sphere) return distance(sphere_.center, q);
+    return (dot(plane_.normal, q) - plane_.offset) / norm(plane_.normal);
+  }
+
+  // classify(Ball{q, radius}) from q's cached center_distance: the same
+  // inequalities and relative margins, so a search that tries many radii
+  // around one q computes the distance once and still agrees with the
+  // ball march bit for bit.
+  Region classify_at(double center_dist, double radius) const {
     Region geometric;
     if (kind_ == Kind::Sphere) {
-      geometric = classify_ball(sphere_, b);
+      geometric = classify_ball_at(sphere_.radius, center_dist, radius);
     } else {
-      double signed_dist = (dot(plane_.normal, b.center) - plane_.offset) /
-                           norm(plane_.normal);
-      double margin = 1e-12 * (std::abs(signed_dist) + b.radius + 1.0);
-      if (signed_dist + b.radius < -margin)
+      double margin = 1e-12 * (std::abs(center_dist) + radius + 1.0);
+      if (center_dist + radius < -margin)
         geometric = Region::Inner;
-      else if (signed_dist - b.radius > margin)
+      else if (center_dist - radius > margin)
         geometric = Region::Outer;
       else
         geometric = Region::Cut;

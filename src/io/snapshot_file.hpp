@@ -19,10 +19,10 @@
 // save never leaves a half-written file at the target path).
 // load_snapshot() mmaps the file, validates header, section table,
 // checksums, and structural bounds, then *adopts* the mapping: the
-// returned SeparatorIndex / KdTree serve queries directly out of the
-// mapped bytes. Nothing is copied; pages fault in on demand, so datasets
+// returned SeparatorIndex serves queries directly out of the mapped
+// bytes. Nothing is copied; pages fault in on demand, so datasets
 // larger than RAM serve through the kernel page cache. The mapping stays
-// alive exactly as long as any aliased shared_ptr to the structures.
+// alive exactly as long as any aliased shared_ptr to the index.
 //
 // Every raw mmap/open/pread call in the repo lives in snapshot_file.cpp —
 // the lint raw-mmap rule (tools/lint_sepdc.py) confines them to src/io/.
@@ -32,9 +32,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -42,7 +40,6 @@
 #include <vector>
 
 #include "core/separator_index.hpp"
-#include "knn/kdtree.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
 
@@ -51,8 +48,10 @@ namespace sepdc::io {
 // Bump when any pinned record layout or the container layout changes;
 // load refuses other versions (no migration shims — a snapshot is a
 // cache of a rebuildable structure, not a database). v2 added the
-// external-id map and the pending-delta sections (14-17).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+// external-id map and the pending-delta sections (14-17); v3 dropped the
+// kd-tree sections (9-13) and the meta fields only they and the old
+// expanding-radius k-NN needed.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 inline constexpr char kSnapshotMagic[8] = {'S', 'E', 'P', 'D',
                                            'C', 'S', 'N', 'P'};
 // Written natively; reads as 0x04030201 on an other-endian host.
@@ -112,18 +111,14 @@ SEPDC_PIN_TRIVIAL_LAYOUT(SectionRecord, 32, 8);
 // Section ids are part of the format: never renumber, only append.
 enum class SectionId : std::uint32_t {
   kMeta = 1,         // SnapshotMeta<D>
-  kPoints = 2,       // geo::Point<D>[n], input order (index + kd share it)
+  kPoints = 2,       // geo::Point<D>[n], input order
   kPerm = 3,         // u32[n], SeparatorIndex leaf permutation
   kForestNodes = 4,  // ForestNode<D>[]
   kLeafBlocks = 5,   // knn::BlockRange[], indexed by forest node id
   kBlockCoords = 6,  // double[], SoA blocks of the index leaf payloads
   kBlockIds = 7,     // u32[]
   kBlockLanes = 8,   // u8[]
-  kKdIds = 9,        // u32[n], kd-tree payload permutation
-  kKdNodes = 10,     // knn::KdTree<D>::Node[]
-  kKdBlockCoords = 11,  // double[], SoA blocks of the kd leaf payloads
-  kKdBlockIds = 12,     // u32[]
-  kKdBlockLanes = 13,   // u8[]
+  // 9-13 held the v2 kd-tree fallback; retired in v3, never reuse them.
   // v2: live-update state (docs/updates.md). Always written, zero-size
   // when the service has no pending delta.
   kExternalIds = 14,  // u32[n], internal position -> external id,
@@ -164,21 +159,13 @@ struct ShardInfoRecord {
 };
 SEPDC_PIN_TRIVIAL_LAYOUT(ShardInfoRecord, 32, 8);
 
-// Scalars the queries need but the arenas don't carry. Lives in its own
-// checksummed section; pinned per dimension below.
-template <int D>
+// Scalars the arenas don't carry. Lives in its own checksummed section.
 struct SnapshotMeta {
   core::SeparatorIndexConfig cfg;
-  double diameter = 1.0;
-  geo::Point<D> bbox_center{};
   std::uint32_t forest_root = 0;
-  std::uint32_t kd_root = 0;
-  std::uint64_t kd_leaf_size = 16;
+  std::uint32_t reserved = 0;  // explicit padding: saved bytes stay defined
 };
-SEPDC_PIN_TRIVIAL_LAYOUT(SnapshotMeta<2>, 96, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(SnapshotMeta<3>, 104, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(SnapshotMeta<4>, 112, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(SnapshotMeta<5>, 120, 8);
+SEPDC_PIN_TRIVIAL_LAYOUT(SnapshotMeta, 64, 8);
 
 // Coordinate payloads (kBlockCoords, kDeltaPoints) are read back as raw
 // geo::Point<D> arrays, so the point layout is part of the on-disk format
@@ -299,40 +286,24 @@ struct SnapshotSidecar {
   std::uint32_t shard_root = 0;
 };
 
-// Serializes a built index + its kd-tree fallback. `version` is the
-// SnapshotStore generation being saved (recorded, not trusted on load —
-// a bootstrapping store claims a fresh version). The two structures must
-// cover the identical point set (SnapshotStore::build guarantees it).
+// Serializes a built index. `version` is the SnapshotStore generation
+// being saved (recorded, not trusted on load — a bootstrapping store
+// claims a fresh version).
 template <int D>
 void save_snapshot(const std::string& path,
                    const core::SeparatorIndex<D>& index,
-                   const knn::KdTree<D>& fallback,
                    std::uint64_t version,
                    const SnapshotSidecar<D>& sidecar = {}) {
   auto points = index.points();
-  auto kd_points = fallback.points();
-  SEPDC_CHECK_MSG(points.size() == kd_points.size() &&
-                      std::memcmp(points.data(), kd_points.data(),
-                                  points.size() * sizeof(geo::Point<D>)) ==
-                          0,
-                  "save_snapshot: index and fallback disagree on the "
-                  "point set");
-
-  SnapshotMeta<D> meta;
+  SnapshotMeta meta;
   meta.cfg = index.config();
-  meta.diameter = index.diameter();
-  meta.bbox_center = index.bbox_center();
   meta.forest_root = index.forest().root_id();
-  meta.kd_root = fallback.root_id();
-  meta.kd_leaf_size = fallback.leaf_size();
 
   auto nodes = index.forest().nodes();
   auto leaf_blocks = index.leaf_blocks();
   const auto& blocks = index.blocks();
-  auto kd_nodes = fallback.nodes();
-  const auto& kd_blocks = fallback.blocks();
 
-  // The identity map is written explicitly: every v2 file carries the
+  // The identity map is written explicitly: every file carries the
   // full internal -> external section, so the loader never guesses.
   std::vector<std::uint32_t> identity;
   std::span<const std::uint32_t> external_ids = sidecar.external_ids;
@@ -365,14 +336,6 @@ void save_snapshot(const std::string& path,
       sec(SectionId::kBlockIds, blocks.ids().data(), blocks.ids().size()),
       sec(SectionId::kBlockLanes, blocks.lanes().data(),
           blocks.lanes().size()),
-      sec(SectionId::kKdIds, fallback.ids().data(), fallback.ids().size()),
-      sec(SectionId::kKdNodes, kd_nodes.data(), kd_nodes.size()),
-      sec(SectionId::kKdBlockCoords, kd_blocks.coords().data(),
-          kd_blocks.coords().size()),
-      sec(SectionId::kKdBlockIds, kd_blocks.ids().data(),
-          kd_blocks.ids().size()),
-      sec(SectionId::kKdBlockLanes, kd_blocks.lanes().data(),
-          kd_blocks.lanes().size()),
       sec(SectionId::kExternalIds, external_ids.data(),
           external_ids.size()),
       sec(SectionId::kDeltaIds, sidecar.delta_ids.data(),
@@ -406,7 +369,7 @@ void save_snapshot(const std::string& path,
 // Writes a sharding-only file: the manifest (shard_id == kShardManifestId)
 // that commits a sharded save, or an empty shard's placeholder
 // (kShardFlagEmptyBase) that carries its pending delta but no built base.
-// Both are plain v2 containers with point_count 0; load_snapshot refuses
+// Both are plain containers with point_count 0; load_snapshot refuses
 // them (no points), read_shard_file below understands them.
 template <int D>
 void save_shard_stub(const std::string& path,
@@ -456,12 +419,11 @@ struct LoadedDelta {
   std::vector<std::uint32_t> tombstones;   // sorted masked base ids
 };
 
-// A loaded snapshot: both structures serve directly out of the mapping,
-// which stays alive for as long as either shared_ptr does (aliasing).
+// A loaded snapshot: the index serves directly out of the mapping, which
+// stays alive for as long as the shared_ptr does (aliasing).
 template <int D>
 struct LoadedSnapshot {
   std::shared_ptr<const core::SeparatorIndex<D>> index;
-  std::shared_ptr<const knn::KdTree<D>> fallback;
   std::uint64_t saved_version = 0;
   std::size_t point_count = 0;
   std::size_t file_bytes = 0;
@@ -480,11 +442,11 @@ LoadedSnapshot<D> load_snapshot(const std::string& path) {
   detail::ValidatedFile file =
       detail::open_snapshot_file(path, static_cast<std::uint32_t>(D));
 
-  auto meta_span = detail::typed_section<SnapshotMeta<D>>(
-      file, SectionId::kMeta);
+  auto meta_span =
+      detail::typed_section<SnapshotMeta>(file, SectionId::kMeta);
   if (meta_span.size() != 1)
     detail::fail_structure("meta section must hold exactly one record");
-  const SnapshotMeta<D> meta = meta_span[0];
+  const SnapshotMeta meta = meta_span[0];
 
   typename core::SeparatorIndex<D>::Relocated rel;
   rel.points = detail::typed_section<geo::Point<D>>(file,
@@ -502,42 +464,21 @@ LoadedSnapshot<D> load_snapshot(const std::string& path) {
       detail::typed_section<std::uint8_t>(file, SectionId::kBlockLanes);
   rel.root = meta.forest_root;
   rel.cfg = meta.cfg;
-  rel.diameter = meta.diameter;
-  rel.bbox_center = meta.bbox_center;
-
-  typename knn::KdTree<D>::Relocated kd;
-  kd.points = rel.points;  // shared section: both copy input order
-  kd.ids = detail::typed_section<std::uint32_t>(file, SectionId::kKdIds);
-  kd.nodes = detail::typed_section<typename knn::KdTree<D>::Node>(
-      file, SectionId::kKdNodes);
-  kd.block_coords =
-      detail::typed_section<double>(file, SectionId::kKdBlockCoords);
-  kd.block_ids =
-      detail::typed_section<std::uint32_t>(file, SectionId::kKdBlockIds);
-  kd.block_lanes =
-      detail::typed_section<std::uint8_t>(file, SectionId::kKdBlockLanes);
-  kd.root = meta.kd_root;
-  kd.leaf_size = static_cast<std::size_t>(meta.kd_leaf_size);
 
   // Structural bounds, as throwing checks (the adopt() SEPDC_CHECKs
   // re-assert the same invariants, but a corrupt file must surface as a
   // typed error a caller can handle, not an abort).
   if (rel.points.empty() || rel.points.size() != file.header.point_count)
     detail::fail_structure("point section disagrees with the header");
-  if (rel.perm.size() != rel.points.size() ||
-      kd.ids.size() != rel.points.size())
-    detail::fail_structure("permutation sections disagree with the "
-                           "point count");
+  if (rel.perm.size() != rel.points.size())
+    detail::fail_structure("permutation section disagrees with the point "
+                           "count");
   if (rel.nodes.empty() || rel.root >= rel.nodes.size() ||
       rel.leaf_blocks.size() != rel.nodes.size())
     detail::fail_structure("forest sections inconsistent");
-  if (kd.nodes.empty() || kd.root >= kd.nodes.size())
-    detail::fail_structure("kd sections inconsistent");
   constexpr std::size_t kW = knn::PointBlockStore<D>::kWidth;
   if (rel.block_coords.size() != rel.block_lanes.size() * D * kW ||
-      rel.block_ids.size() != rel.block_lanes.size() * kW ||
-      kd.block_coords.size() != kd.block_lanes.size() * D * kW ||
-      kd.block_ids.size() != kd.block_lanes.size() * kW)
+      rel.block_ids.size() != rel.block_lanes.size() * kW)
     detail::fail_structure("block sections disagree with the block count");
   const auto nnodes = static_cast<std::uint32_t>(rel.nodes.size());
   const auto nblocks = static_cast<std::uint32_t>(rel.block_lanes.size());
@@ -551,27 +492,13 @@ LoadedSnapshot<D> load_snapshot(const std::string& path) {
     if (b.begin > b.end || b.end > nblocks)
       detail::fail_structure("leaf block range out of bounds");
   }
-  const auto kd_nnodes = static_cast<std::uint32_t>(kd.nodes.size());
-  const auto kd_nblocks = static_cast<std::uint32_t>(kd.block_lanes.size());
-  for (const auto& n : kd.nodes) {
-    if (n.begin > n.end || n.end > kd.ids.size() ||
-        n.blocks.begin > n.blocks.end || n.blocks.end > kd_nblocks)
-      detail::fail_structure("kd node range out of bounds");
-    if (!n.is_leaf() && (n.left >= kd_nnodes || n.right >= kd_nnodes))
-      detail::fail_structure("kd child index out of bounds");
-  }
   for (std::uint32_t pid : rel.perm)
     if (pid >= rel.points.size())
       detail::fail_structure("perm entry out of bounds");
-  for (std::uint32_t pid : kd.ids)
-    if (pid >= rel.points.size())
-      detail::fail_structure("kd id entry out of bounds");
   for (std::uint8_t l : rel.block_lanes)
     if (l < 1 || l > kW) detail::fail_structure("block lane count invalid");
-  for (std::uint8_t l : kd.block_lanes)
-    if (l < 1 || l > kW) detail::fail_structure("kd lane count invalid");
 
-  // v2 live-update sections. Strict monotonicity doubles as a
+  // Live-update sections. Strict monotonicity doubles as a
   // duplicate/reserved-id check (0xffffffff can only appear last, and is
   // rejected explicitly).
   auto ext_ids = detail::typed_section<std::uint32_t>(
@@ -617,24 +544,19 @@ LoadedSnapshot<D> load_snapshot(const std::string& path) {
         detail::fail_structure("delta point coordinate not finite");
   }
 
-  // Adopt: the bundle owns the mapping and both structures; the returned
-  // shared_ptrs alias into it, so dropping any subset keeps the mapping
-  // alive until the last user is gone.
+  // Adopt: the bundle owns the mapping and the index; the returned
+  // shared_ptr aliases into it, so the mapping lives until the last user
+  // of the index is gone.
   struct Bundle {
     detail::ValidatedFile file;
-    std::optional<core::SeparatorIndex<D>> index;
-    std::optional<knn::KdTree<D>> fallback;
+    core::SeparatorIndex<D> index;
   };
-  auto bundle = std::make_shared<Bundle>();
-  bundle->file = std::move(file);
-  bundle->index.emplace(core::SeparatorIndex<D>::adopt(rel));
-  bundle->fallback.emplace(knn::KdTree<D>::adopt(kd));
+  auto bundle = std::make_shared<Bundle>(
+      Bundle{std::move(file), core::SeparatorIndex<D>::adopt(rel)});
 
   LoadedSnapshot<D> out;
   out.index = std::shared_ptr<const core::SeparatorIndex<D>>(
-      bundle, &*bundle->index);
-  out.fallback = std::shared_ptr<const knn::KdTree<D>>(
-      bundle, &*bundle->fallback);
+      bundle, &bundle->index);
   out.saved_version = bundle->file.header.saved_version;
   out.point_count =
       static_cast<std::size_t>(bundle->file.header.point_count);

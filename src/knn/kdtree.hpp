@@ -3,13 +3,9 @@
 // This is the sequential baseline standing in for Vaidya's O(kn log n)
 // algorithm (the paper's work benchmark): building the tree and answering
 // one k-NN query per point gives the k-neighborhood system in O(kn log n)
-// expected time for fixed d. It also serves as a fast oracle for tests at
-// sizes where brute force is too slow.
-// Storage (points, ids, nodes, leaf blocks) lives in arena::ArenaVec
-// arrays: heap-owned when built, or borrowed views over mmap-ed snapshot
-// sections (adopt()) so a loaded fallback tree serves queries straight
-// out of the file mapping. Node layout is pinned — the disk format
-// (docs/persistence.md) depends on it.
+// expected time for fixed d. It also serves as a fast oracle for tests,
+// tools and benches at sizes where brute force is too slow; the query
+// service does not use it (it searches its SeparatorIndex directly).
 #pragma once
 
 #include <algorithm>
@@ -25,7 +21,6 @@
 #include "knn/result.hpp"
 #include "knn/topk.hpp"
 #include "parallel/parallel_for.hpp"
-#include "support/arena.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 
@@ -36,8 +31,6 @@ class KdTree {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  // Public because it is a snapshot record (io/snapshot_file.hpp writes
-  // the node arena raw); the fields are internal detail regardless.
   struct Node {
     geo::Aabb<D> box;
     std::uint32_t left = kNone;
@@ -59,68 +52,13 @@ class KdTree {
     // silently truncate (same guard as PartitionForest::for_points).
     SEPDC_CHECK_MSG(points.size() < KnnResult::kInvalid,
                     "KdTree: point count exceeds the 32-bit id space");
-    std::iota(ids_.begin_mut(), ids_.end_mut(), 0u);
+    std::iota(ids_.begin(), ids_.end(), 0u);
     if (!points_.empty()) {
       nodes_.reserve(2 * points_.size() / leaf_size_ + 2);
       root_ = build(0, points_.size());
       pack_leaf_blocks();
     }
   }
-
-  // Relocated storage for the zero-copy snapshot load path: every span —
-  // typically an mmap-ed file section that must outlive the tree —
-  // carries exactly the arrays a built tree owns on the heap.
-  struct Relocated {
-    std::span<const geo::Point<D>> points;
-    std::span<const std::uint32_t> ids;
-    std::span<const Node> nodes;
-    std::span<const double> block_coords;
-    std::span<const std::uint32_t> block_ids;
-    std::span<const std::uint8_t> block_lanes;
-    std::uint32_t root = kNone;
-    std::size_t leaf_size = 16;
-  };
-
-  // Adopts relocated storage without building: the views are served
-  // as-is. Structural bounds (child/payload ranges) are validated up
-  // front so a corrupt mapping fails here, not mid-query.
-  static KdTree adopt(const Relocated& r) {
-    KdTree t;
-    SEPDC_CHECK_MSG(r.ids.size() == r.points.size(),
-                    "KdTree::adopt: ids/points size mismatch");
-    SEPDC_CHECK_MSG(r.points.empty() ||
-                        (!r.nodes.empty() && r.root < r.nodes.size()),
-                    "KdTree::adopt: root outside the node arena");
-    const std::uint32_t nnodes = static_cast<std::uint32_t>(r.nodes.size());
-    const std::uint32_t nblocks =
-        static_cast<std::uint32_t>(r.block_lanes.size());
-    for (const Node& n : r.nodes) {
-      SEPDC_CHECK_MSG(n.begin <= n.end && n.end <= r.ids.size(),
-                      "KdTree::adopt: node payload range out of bounds");
-      SEPDC_CHECK_MSG(n.blocks.begin <= n.blocks.end &&
-                          n.blocks.end <= nblocks,
-                      "KdTree::adopt: node block range out of bounds");
-      if (!n.is_leaf())
-        SEPDC_CHECK_MSG(n.left < nnodes && n.right < nnodes,
-                        "KdTree::adopt: child index out of bounds");
-    }
-    t.points_ = arena::ArenaVec<geo::Point<D>>::view_of(r.points);
-    t.ids_ = arena::ArenaVec<std::uint32_t>::view_of(r.ids);
-    t.nodes_ = arena::ArenaVec<Node>::view_of(r.nodes);
-    t.blocks_ = PointBlockStore<D>::adopt(r.block_coords, r.block_ids,
-                                          r.block_lanes);
-    t.root_ = r.root;
-    t.leaf_size_ = std::max<std::size_t>(r.leaf_size, 1);
-    return t;
-  }
-
-  // Storage accessors — what snapshot save writes.
-  std::span<const geo::Point<D>> points() const { return points_.span(); }
-  std::span<const std::uint32_t> ids() const { return ids_.span(); }
-  std::span<const Node> nodes() const { return nodes_.span(); }
-  const PointBlockStore<D>& blocks() const { return blocks_; }
-  std::uint32_t root_id() const { return root_; }
-  std::size_t leaf_size() const { return leaf_size_; }
 
   std::size_t size() const { return points_.size(); }
 
@@ -136,9 +74,9 @@ class KdTree {
   // Invokes fn(id, dist2) for every point inside the *closed* ball:
   // distance(point, center) <= radius. Same contract as
   // SeparatorIndex::for_each_in_ball (docs/kernels.md "closed-ball
-  // contract"), so a query answered by this fallback structure returns
-  // byte-identical boundary points to the batched index path. A radius of
-  // exactly 0 therefore finds points coincident with the center.
+  // contract"), so as an oracle it returns byte-identical boundary
+  // points to the index. A radius of exactly 0 therefore finds points
+  // coincident with the center.
   template <class Fn>
   void for_each_in_ball(const geo::Point<D>& center, double radius,
                         Fn fn) const {
@@ -171,23 +109,20 @@ class KdTree {
   std::size_t node_count() const { return nodes_.size(); }
 
  private:
-  KdTree() = default;  // adopt() fills the members in
-
   // Re-packs every leaf's payload into the SoA block store so leaf scans
   // run through the batched kernels instead of per-point AoS gathers.
   // Runs once after build(): the recursion is over, so node payload
   // ranges in ids_ are final.
   void pack_leaf_blocks() {
     blocks_.reserve_points(points_.size());
-    for (Node* node = nodes_.begin_mut(); node != nodes_.end_mut();
-         ++node) {
-      if (!node->is_leaf()) continue;
-      node->blocks = blocks_.append_range(
-          node->end - node->begin,
+    for (Node& node : nodes_) {
+      if (!node.is_leaf()) continue;
+      node.blocks = blocks_.append_range(
+          node.end - node.begin,
           [&](std::size_t j) -> const geo::Point<D>& {
-            return points_[ids_[node->begin + j]];
+            return points_[ids_[node.begin + j]];
           },
-          [&](std::size_t j) { return ids_[node->begin + j]; });
+          [&](std::size_t j) { return ids_[node.begin + j]; });
     }
   }
 
@@ -205,9 +140,9 @@ class KdTree {
     }
     int axis = node.box.widest_axis();
     std::size_t mid = begin + (end - begin) / 2;
-    std::nth_element(ids_.begin_mut() + static_cast<std::ptrdiff_t>(begin),
-                     ids_.begin_mut() + static_cast<std::ptrdiff_t>(mid),
-                     ids_.begin_mut() + static_cast<std::ptrdiff_t>(end),
+    std::nth_element(ids_.begin() + static_cast<std::ptrdiff_t>(begin),
+                     ids_.begin() + static_cast<std::ptrdiff_t>(mid),
+                     ids_.begin() + static_cast<std::ptrdiff_t>(end),
                      [&](std::uint32_t a, std::uint32_t b) {
                        return points_[a][axis] < points_[b][axis];
                      });
@@ -267,21 +202,13 @@ class KdTree {
     range_search(node.right, center, radius2, fn);
   }
 
-  arena::ArenaVec<geo::Point<D>> points_;
-  arena::ArenaVec<std::uint32_t> ids_;
+  std::vector<geo::Point<D>> points_;
+  std::vector<std::uint32_t> ids_;
   std::size_t leaf_size_ = 16;
-  arena::ArenaVec<Node> nodes_;
+  std::vector<Node> nodes_;
   PointBlockStore<D> blocks_;
   std::uint32_t root_ = kNone;
   metrics::Histogram* scan_hist_ = nullptr;
 };
-
-// Layout pins (docs/persistence.md): KdTree<D>::Node is written raw into
-// snapshot section `kd_nodes`. Aabb (2 points, 16D) + four 32-bit
-// ranges/children + BlockRange = 16D + 24.
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<2>::Node, 56, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<3>::Node, 72, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<4>::Node, 88, 8);
-SEPDC_PIN_TRIVIAL_LAYOUT(KdTree<5>::Node, 104, 8);
 
 }  // namespace sepdc::knn

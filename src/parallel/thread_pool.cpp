@@ -123,19 +123,28 @@ std::uint64_t ns_between(std::chrono::steady_clock::time_point a,
   auto d = std::chrono::duration_cast<std::chrono::nanoseconds>(b - a);
   return d.count() > 0 ? static_cast<std::uint64_t>(d.count()) : 0;
 }
+
+// How many task bodies this thread is inside: a task that helps in a
+// wait runs other tasks on its own stack.
+thread_local unsigned tl_task_depth = 0;
 }  // namespace
 
 void ThreadPool::run_task(Task task) {
   Clock::time_point start = Clock::now();
   task_wait_.record(ns_between(task.enqueued, start));
+  // A task run while an outer task helps in a wait is already inside
+  // that task's wall time; adding it to busy_ns_ again would count the
+  // same thread-time twice.
+  const bool outermost = tl_task_depth++ == 0;
   try {
     task.fn();
   } catch (...) {
     task.group->record_error(std::current_exception());
   }
+  --tl_task_depth;
   std::uint64_t run_ns = ns_between(start, Clock::now());
   task_run_.record(run_ns);
-  busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
+  if (outermost) busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
   task.group->pending_.fetch_sub(1, std::memory_order_acq_rel);
   task_done_.notify_all();

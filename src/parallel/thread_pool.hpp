@@ -82,10 +82,12 @@ class Waitable {
 
 // Plain-value snapshot of a pool's execution counters. Tasks that ran
 // via a helping wait count too — the helping thread is doing the pool's
-// work, just on a caller's stack.
+// work, just on a caller's stack. busy_ns counts only each thread's
+// outermost task: a task helped from inside another task's wait is
+// already part of that task's wall time.
 struct ThreadPoolStats {
   std::uint64_t tasks_executed = 0;
-  std::uint64_t busy_ns = 0;      // total wall time inside task bodies
+  std::uint64_t busy_ns = 0;      // wall time inside outermost task bodies
   std::uint64_t lifetime_ns = 0;  // pool age at snapshot time
   unsigned concurrency = 0;
   metrics::HistogramSnapshot task_wait;  // ns, enqueue -> start

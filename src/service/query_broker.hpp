@@ -31,10 +31,10 @@
 // immediately rather than retrying): a query whose deadline cannot
 // survive the batch path — the *remaining* wait until the pending
 // queue's flush fires plus the estimated batch service time — is
-// *punted* at submission to the snapshot's direct kd-tree /
-// single-march fallback on the client's own thread. Both paths are
-// exact with the identical (dist2, id) tie-break, so punting degrades
-// latency, never answers. Per-outcome counters (batched, punted,
+// *punted* at submission to a direct single-query search of the same
+// index (knn() descent / ball march) on the client's own thread. Both
+// paths are exact with the identical (dist2, id) tie-break, so punting
+// degrades latency, never answers. Per-outcome counters (batched, punted,
 // fast-lane, expired, rebuilt-under) land in a relaxed-atomic
 // ServiceStats.
 //
@@ -277,8 +277,8 @@ class QueryBroker {
     sidecar.delta_ids = flat.ids;
     sidecar.delta_points = flat.points;
     sidecar.tombstones = flat.tombstones;
-    io::save_snapshot<D>(path, *view->base->index, *view->base->fallback,
-                         view->base->version, sidecar);
+    io::save_snapshot<D>(path, *view->base->index, view->base->version,
+                         sidecar);
     ServiceStats::add(stats_.snapshot_saves, 1);
     return true;
   }
@@ -317,8 +317,8 @@ class QueryBroker {
     sidecar.shard_count = shard_count;
     sidecar.shard_id = shard_id;
     sidecar.shard_root = root;
-    io::save_snapshot<D>(path, *view->base->index, *view->base->fallback,
-                         view->base->version, sidecar);
+    io::save_snapshot<D>(path, *view->base->index, view->base->version,
+                         sidecar);
     ServiceStats::add(stats_.snapshot_saves, 1);
     return view->base->version;
   }
@@ -732,7 +732,7 @@ class QueryBroker {
                    typename Clock::time_point deadline,
                    std::size_t nqueries) const {
     double waiting = static_cast<double>(
-        pending_queries_.load(std::memory_order_relaxed) + nqueries);
+        pending_queries_.load(std::memory_order_acquire) + nqueries);
     double est_us =
         stats_.est_batch_us_per_query.load(std::memory_order_relaxed) *
         waiting;
@@ -863,7 +863,7 @@ class QueryBroker {
   }
 
   // One punted/direct k-NN answer against a coherent live view: base
-  // kd-tree fetch with the tombstone over-fetch margin, then the sorted
+  // index search with the tombstone over-fetch margin, then the sorted
   // merge with the delta scans.
   static KnnRow answer_knn_direct(const LiveView<D>& view,
                                   const geo::Point<D>& q, std::size_t k,
@@ -871,8 +871,8 @@ class QueryBroker {
     KnnRow base_rows;
     if (view.has_base()) {
       const std::size_t kb = k + view.tombstone_count();
-      base_rows = view.base->fallback
-                      ->query(q, kb, base_exclude(*view.base, exclude))
+      base_rows = view.base->index
+                      ->knn(q, kb, base_exclude(*view.base, exclude))
                       .take_sorted();
     }
     return merge_knn_rows(view, q, k, exclude, base_rows);
@@ -1098,8 +1098,11 @@ class QueryBroker {
         trigger = &stats_.flush_by_stop;
       std::vector<Pending*> batch;
       batch.swap(queue_);
-      pending_queries_.store(0, std::memory_order_relaxed);
+      // Sentinel first, then the count with release: should_punt's
+      // acquire load of a 0 count then also sees kNoOldest (or a newer
+      // enqueue's stamp), never this flush's stale oldest stamp.
       oldest_enqueue_ns_.store(kNoOldest, std::memory_order_relaxed);
+      pending_queries_.store(0, std::memory_order_release);
       ServiceStats::add(stats_.flushes, 1);
       ServiceStats::add(*trigger, 1);
 
@@ -1431,8 +1434,13 @@ class QueryBroker {
   // (should_punt) and the flusher itself. oldest_enqueue_ns_ mirrors
   // oldest_enqueue_ for the punt path exactly the way pending_queries_
   // mirrors the queue size: written only under mu_ (enqueue sets it,
-  // the flush swap resets it to kNoOldest), read relaxed; a slightly
-  // stale value shifts a punt/fast-lane decision, never an answer.
+  // the flush swap resets it to kNoOldest). The swap stores the
+  // sentinel before it release-stores pending_queries_ = 0, and
+  // should_punt acquire-loads the count before it reads the stamp, so a
+  // punt decision that sees the drained count never pairs it with the
+  // drained queue's stamp (that torn pair charged a near-zero wait). A
+  // stamp newer than the count is still possible; a slightly stale
+  // value shifts a punt/fast-lane decision, never an answer.
   // flush_in_flight_ closes the fast lane while execute() runs so an
   // inline answer cannot overlap a racing flush on a 1-core box and
   // double the flush's tail.

@@ -39,7 +39,6 @@
 
 #include "core/separator_index.hpp"
 #include "io/snapshot_file.hpp"
-#include "knn/kdtree.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/service_stats.hpp"
 #include "support/assert.hpp"
@@ -56,14 +55,11 @@ struct IndexSnapshot {
   static constexpr std::uint32_t kNoId = 0xffffffffu;
 
   std::uint64_t version = 0;
-  // Primary structure: the separator-based partition index (batched and
-  // single-query exact search). Null only in an *empty* generation (zero
-  // points — a delta-only service before its first compaction).
+  // The separator-based partition index: batched, punted and fast-lane
+  // queries all search it, so every path shares one (dist2, id) order.
+  // Null only in an *empty* generation (zero points — a delta-only
+  // service before its first compaction).
   std::shared_ptr<const core::SeparatorIndex<D>> index;
-  // Direct fallback for punted k-NN queries: a kd-tree over the same
-  // points. Exact with the identical (dist2, id) tie-break, so a punted
-  // answer is bit-equal to the batched one.
-  std::shared_ptr<const knn::KdTree<D>> fallback;
   std::size_t point_count = 0;
   double build_seconds = 0.0;
   // Internal position -> client-visible external id. Null means the
@@ -95,9 +91,9 @@ class SnapshotStore {
   using Snapshot = IndexSnapshot<D>;
   using Ptr = std::shared_ptr<const Snapshot>;
 
-  // Builds generation `version` (both structures) without publishing it.
-  // With a trace recorder, the two structure builds emit "index_build"
-  // and "fallback_build" spans. `external_ids`, when non-null, names
+  // Builds generation `version` without publishing it. With a trace
+  // recorder, the index build emits an "index_build" span.
+  // `external_ids`, when non-null, names
   // points[i] as (*external_ids)[i] to clients (strictly increasing —
   // compaction sorts live points by external id precisely to satisfy
   // this); null keeps the identity map.
@@ -118,10 +114,6 @@ class SnapshotStore {
       metrics::TraceSpan span(trace, "index_build", "snapshot");
       snap->index = std::make_shared<const core::SeparatorIndex<D>>(
           points, cfg, pool);
-    }
-    {
-      metrics::TraceSpan span(trace, "fallback_build", "snapshot");
-      snap->fallback = std::make_shared<const knn::KdTree<D>>(points);
     }
     snap->point_count = points.size();
     snap->build_seconds = timer.seconds();
@@ -188,8 +180,7 @@ class SnapshotStore {
     io::SnapshotSidecar<D> sidecar;
     if (cur->external_ids != nullptr)
       sidecar.external_ids = *cur->external_ids;
-    io::save_snapshot<D>(path, *cur->index, *cur->fallback, cur->version,
-                         sidecar);
+    io::save_snapshot<D>(path, *cur->index, cur->version, sidecar);
     if (stats) ServiceStats::add(stats->snapshot_saves, 1);
     return true;
   }
@@ -215,7 +206,6 @@ class SnapshotStore {
       io::LoadedSnapshot<D> loaded = io::load_snapshot<D>(path);
       snap->version = version;
       snap->index = std::move(loaded.index);
-      snap->fallback = std::move(loaded.fallback);
       snap->point_count = loaded.point_count;
       if (!loaded.external_ids.empty())
         snap->external_ids =

@@ -4,11 +4,11 @@
 // On an integer lattice, radii like 1, sqrt(2), 2, and 5 (= |(3,4)|) hit
 // whole rings of points at distance exactly r. The closed-ball contract
 // (docs/kernels.md) says every radius path in the library — the direct
-// scan oracle, KdTree::for_each_in_ball (the service's punt fallback),
+// scan oracle, KdTree::for_each_in_ball (the test and bench oracle),
 // SeparatorIndex::for_each_in_ball, SeparatorIndex::batch_radius, and
 // the QueryBroker's batched and punted routes — must agree on those
-// boundary points bit for bit. Before the fix the kd-tree implemented an
-// open ball and silently dropped every on-boundary point here.
+// boundary points bit for bit. The kd-tree once implemented an open ball
+// and silently dropped every on-boundary point here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -141,8 +141,8 @@ TEST(BoundaryTies, ZeroRadiusFindsCoincidentEverywhere) {
 }
 
 // Punted and batched broker radius answers must be byte-identical on
-// boundary inputs: the punt route answers inline via the kd-tree /
-// direct index march, the batched route via batch_radius — divergent
+// boundary inputs: the punt route answers inline via the direct index
+// march, the batched route via batch_radius — divergent
 // open/closed semantics between them was the headline bug.
 TEST(BoundaryTies, BrokerPuntedEqualsBatchedOnBoundaryRadii) {
   auto pts = lattice(13);

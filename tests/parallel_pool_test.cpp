@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "parallel/parallel_for.hpp"
 
 namespace sepdc::par {
 namespace {
@@ -74,6 +77,36 @@ TEST(ThreadPool, StatsCountEveryTaskExactly) {
   EXPECT_GE(s.utilization(), 0.0);
   EXPECT_LE(s.utilization(), 1.0);
   EXPECT_EQ(s.busy_ns, s.task_run.sum());
+}
+
+// Task bodies that take real time, so busy_ns dominates the lifetime.
+void spin_for(std::chrono::microseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+void nested_work(ThreadPool& pool, int depth) {
+  if (depth == 0) {
+    parallel_for(
+        pool, 0, 8,
+        [](std::size_t) { spin_for(std::chrono::microseconds(20)); }, 1);
+    return;
+  }
+  parallel_invoke(
+      pool, [&] { nested_work(pool, depth - 1); },
+      [&] { nested_work(pool, depth - 1); });
+}
+
+// Nested fork-join runs inner tasks inside the helping waits of outer
+// tasks. Their time is already part of the outer task's wall time, so
+// counting it again pushed utilization far past 1.
+TEST(ThreadPool, NestedHelpedTasksCountBusyTimeOnce) {
+  ThreadPool pool(4);
+  nested_work(pool, 6);
+  auto s = pool.stats();
+  EXPECT_GT(s.busy_ns, 0u);
+  EXPECT_LE(s.utilization(), 1.0);
 }
 
 TEST(ThreadPool, StatsCountHelpedTasksToo) {

@@ -340,7 +340,7 @@ TEST(ServicePunting, BudgetBelowFlushIntervalPuntsEverything) {
     for (std::size_t i = 0; i < len; ++i) rows[q + i] = std::move(chunk[i]);
     q += len;
   }
-  // Punted answers are exact too (the kd-tree fallback shares the
+  // Punted answers are exact too (the direct index search shares the
   // (dist2, id) tie-break).
   expect_matches_brute_force(rows, oracle, workload::Kind::UniformCube);
 
