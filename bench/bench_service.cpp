@@ -143,41 +143,18 @@ void summarize(CellResult& r, double elapsed, std::size_t completed,
 }
 
 // At quiescence the broker's accounting must reconcile exactly with the
-// bench's own count and with the histograms, per op type (the invariants
-// docs/observability.md documents); a violation is a counting bug.
-// `expected` is the bench-side count of every query it submitted —
-// including staleness probes, not just the client loops.
+// bench's own count and with every invariant the library defines
+// (ServiceStatsSnapshot::violations(), docs/observability.md); a
+// failure is a counting bug. `expected` is the bench-side count of
+// every query it submitted — including staleness probes, not just the
+// client loops.
 void reconcile_broker_stats(const service::ServiceStatsSnapshot& s,
                             std::size_t expected) {
   SEPDC_CHECK_MSG(s.submitted == expected,
                   "broker submitted != bench submitted");
-  SEPDC_CHECK_MSG(s.batched + s.punted + s.fast_lane == s.submitted,
-                  "batched + punted + fast_lane != submitted");
-  SEPDC_CHECK_MSG(
-      s.flush_by_size + s.flush_by_deadline + s.flush_by_stop == s.flushes,
-      "flush trigger taxonomy does not reconcile with flushes");
-  SEPDC_CHECK_MSG(s.fast_lane_latency.count() == s.fast_lane,
-                  "fast_lane_latency histogram does not reconcile with "
-                  "fast_lane");
-  SEPDC_CHECK_MSG(s.knn_submitted + s.radius_submitted == s.submitted,
-                  "per-type submissions do not reconcile with submitted");
-  SEPDC_CHECK_MSG(s.knn_answered == s.knn_submitted,
-                  "knn answered != knn submitted");
-  SEPDC_CHECK_MSG(s.radius_answered == s.radius_submitted,
-                  "radius answered != radius submitted");
-  SEPDC_CHECK_MSG(s.updates_submitted == s.inserts + s.removes,
-                  "updates_submitted != inserts + removes");
-  SEPDC_CHECK_MSG(s.update_apply.count() == s.updates_submitted,
-                  "update_apply histogram does not reconcile with updates");
-  SEPDC_CHECK_MSG(s.compaction_build.count() == s.compactions,
-                  "compaction_build histogram does not reconcile with "
-                  "compactions");
-  SEPDC_CHECK_MSG(s.flush_size.sum() == s.batched,
-                  "flush_size histogram does not reconcile with batched");
-  SEPDC_CHECK_MSG(s.queue_wait.count() == s.batched,
-                  "queue_wait histogram does not reconcile with batched");
-  SEPDC_CHECK_MSG(s.punt_latency.count() == s.punted,
-                  "punt_latency histogram does not reconcile with punted");
+  for (const std::string& invariant : s.violations())
+    SEPDC_CHECK_MSG(false, ("accounting invariant violated: " + invariant)
+                               .c_str());
 }
 
 // One-query-at-a-time service: a dispatcher thread pops one request,

@@ -25,11 +25,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "core/partition_tree.hpp"
 #include "geometry/separator_shape.hpp"
 #include "support/arena.hpp"
 #include "support/assert.hpp"
@@ -163,7 +162,7 @@ class PartitionForest {
     return leaves;
   }
 
-  // Height with leaves at height 1 (matching the legacy pointer tree).
+  // Height with leaves at height 1.
   std::size_t height() const {
     if (empty()) return 0;
     std::size_t h = 0;
@@ -216,22 +215,7 @@ class PartitionForest {
     }
   }
 
-  // Compatibility shim: materializes the legacy pointer tree. Used by
-  // round-trip tests and any consumer not yet ported to the flat layout.
-  std::unique_ptr<PartitionNode<D>> to_legacy() const {
-    if (empty()) return nullptr;
-    return to_legacy_node(root_);
-  }
-
  private:
-  std::unique_ptr<PartitionNode<D>> to_legacy_node(std::uint32_t id) const {
-    const Node& n = nodes_[id];
-    if (n.is_leaf()) return PartitionNode<D>::make_leaf(n.begin, n.end);
-    return PartitionNode<D>::make_internal(n.begin, n.end, n.separator,
-                                           to_legacy_node(n.inner),
-                                           to_legacy_node(n.outer));
-  }
-
   arena::ArenaVec<Node> nodes_;
   std::atomic<std::uint32_t> used_{0};
   std::uint32_t root_ = kNoChild;

@@ -51,13 +51,16 @@ struct SeparatorIndexConfig {
   double delta_slack = 0.05;
   std::size_t max_separator_attempts = 64;
   PartitionRule partition = PartitionRule::MttvSphere;
+  std::uint8_t reserved0[7] = {};  // explicit padding, always zero
   std::uint64_t seed = 1992;
   std::size_t parallel_grain = 8192;  // spawn tasks above this size
   pvm::CostConfig cost;
+  std::uint8_t reserved1[7] = {};  // explicit padding, always zero
 };
 
 // The config travels raw inside the snapshot meta section so a loaded
-// index can report how it was built and seed successor rebuilds.
+// index can report how it was built and seed successor rebuilds; the
+// reserved bytes keep every saved byte defined.
 SEPDC_PIN_TRIVIAL_LAYOUT(SeparatorIndexConfig, 56, 8);
 
 template <int D>

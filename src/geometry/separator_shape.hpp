@@ -107,10 +107,15 @@ class SeparatorShape {
   }
 
  private:
+  // The pad_ arrays fill what would be padding after kind_ and flip_:
+  // shapes are written raw into snapshot files (every ForestNode), so
+  // all of their bytes must be defined.
   Kind kind_;
+  unsigned char pad_kind_[7] = {};
   Sphere<D> sphere_{};
   Halfspace<D> plane_{};
   bool flip_ = false;
+  unsigned char pad_flip_[7] = {};
 };
 
 }  // namespace sepdc::geo

@@ -38,47 +38,25 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "geometry/point.hpp"
 #include "knn/block_store.hpp"
 #include "knn/topk.hpp"
+#include "service/request.hpp"
 #include "service/snapshot.hpp"
 #include "support/assert.hpp"
 #include "support/mutex.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace sepdc::service {
-
-// Thrown at submission for requests the service cannot apply or answer
-// meaningfully (k == 0, negative/NaN radius, insert of a live id, remove
-// of a dead one). Mirrors core::ConfigError: carries the offending field
-// so callers can point at the exact parameter. Validation happens
-// *before* the request is accounted or enqueued — an invalid request
-// never reaches a batch, never mutates the live set, and never skews the
-// outcome counters.
-class QueryError : public std::invalid_argument {
- public:
-  QueryError(std::string field, const std::string& message)
-      : std::invalid_argument("query parameter '" + field +
-                              "': " + message),
-        field_(std::move(field)) {}
-
-  const std::string& field() const noexcept { return field_; }
-
- private:
-  std::string field_;
-};
 
 // One immutable batch of updates. `ids`/`points` are the added points
 // sorted by external id (parallel arrays, also packed into SoA blocks
@@ -89,9 +67,6 @@ class DeltaSegment {
  public:
   using Point = geo::Point<D>;
   using Ptr = std::shared_ptr<const DeltaSegment>;
-
-  // Reserved: the PointBlockStore pad lane / kNoExclude sentinel.
-  static constexpr std::uint32_t kReservedId = 0xffffffffu;
 
   DeltaSegment() = default;
 
@@ -221,13 +196,6 @@ struct LiveView {
   std::size_t tombstone_count() const {
     return active->tombstone_count() +
            (sealed != nullptr ? sealed->tombstone_count() : 0);
-  }
-
-  std::size_t delta_pending() const {
-    return active->add_count() + active->tombstone_count() +
-           (sealed != nullptr
-                ? sealed->add_count() + sealed->tombstone_count()
-                : 0);
   }
 
   // Exact: every tombstone masks exactly one live lower-tier id and
@@ -411,43 +379,30 @@ class LiveStore {
     publish_locked();
   }
 
-  // Inserts a point under a fresh external id. Throws QueryError — and
-  // changes nothing — when the id is reserved, already live, or the
-  // coordinates are not finite. Visible to every query submitted after
+  // One-element insert_bulk / remove_bulk: same checks, same
+  // all-or-nothing contract, visible to every query submitted after
   // return.
   UpdateOutcome insert(std::uint32_t id, const Point& p)
       SEPDC_EXCLUDES(mu_) {
-    if (id == DeltaSegment<D>::kReservedId)
-      throw QueryError("id", "0xffffffff is reserved");
-    for (int dim = 0; dim < D; ++dim)
-      if (!std::isfinite(p[dim]))
-        throw QueryError("point", "coordinates must be finite");
-    LockGuard lock(mu_);
-    if (live_locked(id))
-      throw QueryError("id", "insert of an id that is already live");
-    adds_.emplace(id, p);
-    publish_locked();
-    return outcome_locked();
+    return insert_bulk({&id, 1}, {&p, 1});
+  }
+  UpdateOutcome remove(std::uint32_t id) SEPDC_EXCLUDES(mu_) {
+    return remove_bulk({&id, 1});
   }
 
   // Bulk insert under one view publication. Validation is all-or-
   // nothing: every id must be fresh (not reserved, not live, not
   // repeated inside the batch) and every point finite *before* anything
   // is applied — a batch with one bad entry throws QueryError and
-  // changes nothing, matching the single-element contract. The whole
-  // batch then lands in a single publish_locked(), so readers see either
-  // none of it or all of it (and seq advances by exactly one).
+  // changes nothing. The whole batch then lands in a single
+  // publish_locked(), so readers see either none of it or all of it
+  // (and seq advances by exactly one).
   UpdateOutcome insert_bulk(std::span<const std::uint32_t> ids,
                             std::span<const Point> points)
       SEPDC_EXCLUDES(mu_) {
     SEPDC_ASSERT(ids.size() == points.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == DeltaSegment<D>::kReservedId)
-        throw QueryError("id", "0xffffffff is reserved");
-      for (int dim = 0; dim < D; ++dim)
-        if (!std::isfinite(points[i][dim]))
-          throw QueryError("point", "coordinates must be finite");
-    }
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      check_insert(ids[i], points[i]);
     LockGuard lock(mu_);
     std::set<std::uint32_t> batch_ids;
     for (std::uint32_t id : ids) {
@@ -476,30 +431,14 @@ class LiveStore {
         throw QueryError("id", "bulk remove repeats an id");
     }
     for (std::uint32_t id : ids) {
+      // Removing our own add erases it; a pre-existing tombstone for
+      // the lower-tier incarnation of this id stays in place.
       auto it = adds_.find(id);
       if (it != adds_.end()) {
         adds_.erase(it);
       } else {
         tombs_.insert(id);
       }
-    }
-    publish_locked();
-    return outcome_locked();
-  }
-
-  // Removes a live point. Throws QueryError — and changes nothing —
-  // when the id is not live.
-  UpdateOutcome remove(std::uint32_t id) SEPDC_EXCLUDES(mu_) {
-    LockGuard lock(mu_);
-    auto it = adds_.find(id);
-    if (it != adds_.end()) {
-      // Removing our own add erases it; a pre-existing tombstone for
-      // the lower-tier incarnation of this id stays in place.
-      adds_.erase(it);
-    } else if (live_locked(id)) {
-      tombs_.insert(id);
-    } else {
-      throw QueryError("id", "remove of an id that is not live");
     }
     publish_locked();
     return outcome_locked();

@@ -8,7 +8,9 @@
 // costs far less than b independent dispatches. A dedicated flusher
 // thread drains the pending queue whenever it holds max_batch queries
 // (flush on size) or the oldest request has waited flush_interval
-// (flush on deadline).
+// (flush on deadline). Every entry point builds one Request
+// (request.hpp) and takes one path, serve(): validate, admit or shed,
+// account, then answer on the fast lane, punt, or enqueue.
 //
 // Index updates never block readers: rebuilds construct a complete
 // immutable snapshot off to the side and publish it through the
@@ -67,12 +69,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <limits>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -81,6 +81,7 @@
 #include "core/separator_index.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/delta_tier.hpp"
+#include "service/request.hpp"
 #include "service/service_stats.hpp"
 #include "service/snapshot.hpp"
 #include "support/assert.hpp"
@@ -91,25 +92,6 @@
 #include "support/trace.hpp"
 
 namespace sepdc::service {
-
-// QueryError (thrown at submission, before any accounting, for
-// parameters the service cannot answer — k == 0, NaN radius, negative
-// budget, insert of a live id) lives in delta_tier.hpp, shared with the
-// live store.
-
-// Per-request SLO class. Routing metadata, never correctness: both
-// classes get exact answers with the identical (dist2, id) tie-break;
-// they differ only in which degradations the broker may apply.
-//   kInteractive — latency-sensitive: eligible for the idle fast-lane,
-//                  never shed by admission control.
-//   kBulk        — throughput traffic: always takes the batch/punt
-//                  machinery, and may be shed with QueryError("overload")
-//                  when the estimated backlog exceeds its admission
-//                  budget multiple.
-// Entry-point defaults: single-query knn()/radius() submit interactive,
-// bulk_knn()/bulk_radius() submit bulk; every entry point accepts an
-// explicit class.
-enum class SloClass : std::uint8_t { kInteractive = 0, kBulk = 1 };
 
 // Latency-SLO routing knobs. Everything is off by default: a
 // default-constructed SloConfig makes the broker behave exactly like
@@ -188,53 +170,40 @@ struct BrokerConfig {
 };
 
 template <int D>
-class QueryBroker {
+class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
  public:
   using Clock = std::chrono::steady_clock;
-  using KnnRow = std::vector<knn::TopK::Entry>;
-  using RadiusRow = std::vector<std::pair<std::uint32_t, double>>;
+  using KnnRow = service::KnnRow;
+  using RadiusRow = service::RadiusRow;
   using Snapshot = IndexSnapshot<D>;
   using SnapshotPtr = typename SnapshotStore<D>::Ptr;
   using ViewPtr = typename LiveStore<D>::ViewPtr;
-
-  static constexpr std::uint32_t kNoExclude =
-      core::SeparatorIndex<D>::kNoExclude;
-  // Only kNoDeadline *exactly* means "no deadline: never punt, never
-  // shed, never expires" (unless the request's SLO class carries a
-  // default budget in SloConfig). A negative budget is not a deadline
-  // the service can honor and is rejected at the door with
-  // QueryError("budget") — before any counter moves — matching the
-  // k == 0 / non-finite-radius precedent.
-  static constexpr std::chrono::microseconds kNoDeadline{0};
 
   // An empty `points` span starts the service delta-only: generation 1
   // is the empty base and every answer comes from the live tier until
   // the first compaction builds a real index.
   QueryBroker(std::span<const geo::Point<D>> points,
               const BrokerConfig& cfg, par::ThreadPool& pool)
-      : cfg_(cfg), pool_(pool) {
-    SEPDC_CHECK_MSG(cfg_.max_batch >= 1, "max_batch must be >= 1");
-    init_operating_point();
-    rebuild(points);  // generation 1, synchronous: never serve view-less
-    flusher_ = std::thread([this] { flusher_loop(); });
-  }
+      : QueryBroker(points, {}, cfg, pool) {}
 
   // Sharded start (shard_router.hpp): like the points ctor, but the
   // base generation answers with the caller's external ids instead of
   // positions 0..n-1 — a shard owns an arbitrary subset of the global
-  // id space. `external_ids` must be parallel to `points`; strictly
-  // increasing ids additionally make the saved snapshot loadable (the
-  // io layer pins that ordering), which shard subsets of an ascending
-  // sequence satisfy by construction.
+  // id space. `external_ids` must be empty (positions) or parallel to
+  // `points`; strictly increasing ids additionally make the saved
+  // snapshot loadable (the io layer pins that ordering), which shard
+  // subsets of an ascending sequence satisfy by construction.
   QueryBroker(std::span<const geo::Point<D>> points,
               std::span<const std::uint32_t> external_ids,
               const BrokerConfig& cfg, par::ThreadPool& pool)
       : cfg_(cfg), pool_(pool) {
-    SEPDC_CHECK_MSG(cfg_.max_batch >= 1, "max_batch must be >= 1");
-    SEPDC_CHECK_MSG(external_ids.size() == points.size(),
-                    "external_ids must be parallel to points");
+    SEPDC_CHECK_MSG(
+        external_ids.empty() || external_ids.size() == points.size(),
+        "external_ids must be empty or parallel to points");
     init_operating_point();
-    RebuildScope scope(*this);
+    // Generation 1, synchronous: never serve view-less.
+    rebuilds_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    Release release{rebuilds_in_flight_};
     rebuild_locked_free(points, external_ids);
     flusher_ = std::thread([this] { flusher_loop(); });
   }
@@ -247,7 +216,6 @@ class QueryBroker {
   QueryBroker(const std::string& snapshot_path, const BrokerConfig& cfg,
               par::ThreadPool& pool)
       : cfg_(cfg), pool_(pool) {
-    SEPDC_CHECK_MSG(cfg_.max_batch >= 1, "max_batch must be >= 1");
     init_operating_point();
     io::LoadedDelta<D> delta;
     store_.bootstrap_from(snapshot_path, &stats_, cfg_.trace, &delta);
@@ -270,16 +238,7 @@ class QueryBroker {
     ViewPtr view = live_.current();
     if (view == nullptr || !view->has_base()) return false;
     metrics::TraceSpan span(cfg_.trace, "index_save", "snapshot");
-    FlatDelta<D> flat = flatten_delta(*view);
-    io::SnapshotSidecar<D> sidecar;
-    if (view->base->external_ids != nullptr)
-      sidecar.external_ids = *view->base->external_ids;
-    sidecar.delta_ids = flat.ids;
-    sidecar.delta_points = flat.points;
-    sidecar.tombstones = flat.tombstones;
-    io::save_snapshot<D>(path, *view->base->index, view->base->version,
-                         sidecar);
-    ServiceStats::add(stats_.snapshot_saves, 1);
+    save_view(path, *view, {});
     return true;
   }
 
@@ -306,20 +265,12 @@ class QueryBroker {
       ServiceStats::add(stats_.snapshot_saves, 1);
       return 0;
     }
-    FlatDelta<D> flat = flatten_delta(*view);
-    io::SnapshotSidecar<D> sidecar;
-    if (view->base->external_ids != nullptr)
-      sidecar.external_ids = *view->base->external_ids;
-    sidecar.delta_ids = flat.ids;
-    sidecar.delta_points = flat.points;
-    sidecar.tombstones = flat.tombstones;
-    sidecar.shard_nodes = cut;
-    sidecar.shard_count = shard_count;
-    sidecar.shard_id = shard_id;
-    sidecar.shard_root = root;
-    io::save_snapshot<D>(path, *view->base->index, view->base->version,
-                         sidecar);
-    ServiceStats::add(stats_.snapshot_saves, 1);
+    io::SnapshotSidecar<D> shard;
+    shard.shard_nodes = cut;
+    shard.shard_count = shard_count;
+    shard.shard_id = shard_id;
+    shard.shard_root = root;
+    save_view(path, *view, shard);
     return view->base->version;
   }
 
@@ -349,77 +300,53 @@ class QueryBroker {
   }
 
   // ------------------------------------------------------- client API
-  // All entry points are safe to call from any number of threads.
+  // knn()/bulk_knn()/radius()/bulk_radius() (QueryEntryPoints) and the
+  // router's per-shard sub-requests all land here; every entry point is
+  // safe to call from any number of threads. One chain for both ops:
+  // validate -> effective budget -> admit or shed -> account -> fast
+  // lane, punt, or enqueue for the next flush.
+  Reply serve(Request<D> req) {
+    // Validate before any accounting: an invalid query is rejected at
+    // the door, never counted as submitted, never enqueued.
+    req.validate();
+    Reply out = req.empty_reply();
+    if (req.queries.empty()) return out;
+    req.budget = effective_budget(req.budget, req.cls);
+    admit_or_shed(req.cls, req.budget, req.size());
+    account_submitted(stats_, req);
 
-  KnnRow knn(const geo::Point<D>& q, std::size_t k,
-             std::chrono::microseconds budget = kNoDeadline,
-             std::uint32_t exclude = kNoExclude,
-             SloClass cls = SloClass::kInteractive) {
-    std::uint32_t ex = exclude;
-    auto rows = run_knn({&q, 1}, k, budget,
-                        exclude == kNoExclude
-                            ? std::span<const std::uint32_t>{}
-                            : std::span<const std::uint32_t>{&ex, 1},
-                        cls, /*bulk_entry=*/false);
-    return std::move(rows[0]);
-  }
-
-  // Bulk k-NN: one submission covering many queries (the whole bulk
-  // shares one wait, so per-query synchronization cost amortizes away).
-  // `exclude`, when non-empty, carries one point id per query to skip —
-  // pass the identity to compute an all-k-NN over the indexed points.
-  std::vector<KnnRow> bulk_knn(std::span<const geo::Point<D>> queries,
-                               std::size_t k,
-                               std::chrono::microseconds budget =
-                                   kNoDeadline,
-                               std::span<const std::uint32_t> exclude = {},
-                               SloClass cls = SloClass::kBulk) {
-    return run_knn(queries, k, budget, exclude, cls, /*bulk_entry=*/true);
-  }
-
-  RadiusRow radius(const geo::Point<D>& q, double r,
-                   std::chrono::microseconds budget = kNoDeadline,
-                   SloClass cls = SloClass::kInteractive) {
-    auto rows = run_radius({&q, 1}, r, budget, cls, /*bulk_entry=*/false);
-    return std::move(rows[0]);
-  }
-
-  std::vector<RadiusRow> bulk_radius(
-      std::span<const geo::Point<D>> queries, double r,
-      std::chrono::microseconds budget = kNoDeadline,
-      SloClass cls = SloClass::kBulk) {
-    return run_radius(queries, r, budget, cls, /*bulk_entry=*/true);
+    const auto now = Clock::now();
+    const auto deadline = req.budget > kNoDeadline
+                              ? now + req.budget
+                              : Clock::time_point::max();
+    if (fast_lane_open(req.cls)) {
+      answer_inline(req, out, /*fast=*/true, deadline);
+    } else if (req.budget > kNoDeadline &&
+               should_punt(now, deadline, req.size())) {
+      answer_inline(req, out, /*fast=*/false, deadline);
+    } else {
+      Pending pending{req, &out, deadline};
+      enqueue_and_wait(pending);
+    }
+    return out;
   }
 
   // ------------------------------------------------------- update API
-  // As-of-submission semantics: when insert()/remove() returns, the
-  // update is visible to every query submitted afterwards, from any
-  // thread. Both throw QueryError — before any counter moves — on
+  // As-of-submission semantics: when an update call returns, the update
+  // is visible to every query submitted afterwards, from any thread.
+  // Every call throws QueryError — before any counter moves — on
   // invalid requests (reserved/live id on insert, dead id on remove,
-  // non-finite coordinates).
+  // non-finite coordinates). Single insert()/remove() are one-element
+  // bulk calls.
 
   void insert(std::uint32_t id, const geo::Point<D>& p) {
-    Timer timer;
-    auto outcome = live_.insert(id, p);
-    ServiceStats::add(stats_.updates_submitted, 1);
-    ServiceStats::add(stats_.inserts, 1);
-    ServiceStats::bump_max(stats_.delta_peak, outcome.delta_pending);
-    stats_.update_apply.record_seconds(timer.seconds());
-    maybe_compact(outcome.delta_pending);
+    insert_bulk({&id, 1}, {&p, 1});
   }
 
-  void remove(std::uint32_t id) {
-    Timer timer;
-    auto outcome = live_.remove(id);
-    ServiceStats::add(stats_.updates_submitted, 1);
-    ServiceStats::add(stats_.removes, 1);
-    ServiceStats::bump_max(stats_.delta_peak, outcome.delta_pending);
-    stats_.update_apply.record_seconds(timer.seconds());
-    maybe_compact(outcome.delta_pending);
-  }
+  void remove(std::uint32_t id) { remove_bulk({&id, 1}); }
 
   // Bulk mutation: the whole batch becomes visible in *one* live-view
-  // publication (per-element insert() used to publish O(batch) views —
+  // publication (per-element publication would cost O(batch) views —
   // every one a shared_ptr allocation plus a full delta-segment rebuild).
   // All-or-nothing: every element is validated before anything is
   // applied, so a batch with one bad entry throws QueryError and changes
@@ -432,23 +359,15 @@ class QueryBroker {
                     "broker insert_bulk: ids and points must be parallel");
     if (ids.empty()) return;
     Timer timer;
-    auto outcome = live_.insert_bulk(ids, points);
-    ServiceStats::add(stats_.updates_submitted, ids.size());
-    ServiceStats::add(stats_.inserts, ids.size());
-    ServiceStats::bump_max(stats_.delta_peak, outcome.delta_pending);
-    stats_.update_apply.record_seconds(timer.seconds(), ids.size());
-    maybe_compact(outcome.delta_pending);
+    account_update(stats_.inserts, ids.size(),
+                   live_.insert_bulk(ids, points), timer);
   }
 
   void remove_bulk(std::span<const std::uint32_t> ids) {
     if (ids.empty()) return;
     Timer timer;
-    auto outcome = live_.remove_bulk(ids);
-    ServiceStats::add(stats_.updates_submitted, ids.size());
-    ServiceStats::add(stats_.removes, ids.size());
-    ServiceStats::bump_max(stats_.delta_peak, outcome.delta_pending);
-    stats_.update_apply.record_seconds(timer.seconds(), ids.size());
-    maybe_compact(outcome.delta_pending);
+    account_update(stats_.removes, ids.size(), live_.remove_bulk(ids),
+                   timer);
   }
 
   // Synchronous compaction: seals the pending delta (if any, and if no
@@ -475,7 +394,8 @@ class QueryBroker {
   // caller only; readers keep answering from the previous view
   // throughout. Returns the claimed version.
   std::uint64_t rebuild(std::span<const geo::Point<D>> points) {
-    RebuildScope scope(*this);
+    rebuilds_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    Release release{rebuilds_in_flight_};
     return rebuild_locked_free(points);
   }
 
@@ -484,20 +404,9 @@ class QueryBroker {
   // drain_rebuilds() / shutdown().
   void rebuild_async(std::vector<geo::Point<D>> points)
       SEPDC_EXCLUDES(rebuild_mu_) {
-    rebuilds_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    par::Waitable handle =
-        pool_.submit([this, pts = std::move(points)] {
-          struct Dec {
-            QueryBroker& b;
-            ~Dec() {
-              b.rebuilds_in_flight_.fetch_sub(1,
-                                              std::memory_order_acq_rel);
-            }
-          } dec{*this};
-          rebuild_locked_free(std::span<const geo::Point<D>>(pts));
-        });
-    LockGuard lock(rebuild_mu_);
-    rebuild_handles_.push_back(std::move(handle));
+    submit_background(rebuilds_in_flight_, [this, pts = std::move(points)] {
+      rebuild_locked_free(std::span<const geo::Point<D>>(pts));
+    });
   }
 
   // Waits for every outstanding rebuild_async; rethrows the first
@@ -539,30 +448,22 @@ class QueryBroker {
   }
 
  private:
+  // One enqueued request. Its client blocks until the flusher marks it
+  // done, so the request's spans and `out` stay alive.
   struct Pending {
-    bool is_knn = true;
-    std::span<const geo::Point<D>> queries;
-    std::span<const std::uint32_t> exclude;  // knn only; empty = none
-    std::size_t k = 0;
-    double radius = 0.0;
-    SloClass slo = SloClass::kInteractive;
-    bool has_deadline = false;
+    Request<D> req;  // budget already resolved to the effective one
+    Reply* out = nullptr;
     typename Clock::time_point deadline{};
     typename Clock::time_point enqueued{};  // stamps queue_wait
-    std::vector<KnnRow>* knn_out = nullptr;
-    std::vector<RadiusRow>* radius_out = nullptr;
     bool done = false;
-    std::exception_ptr error;
+    std::exception_ptr error{};
   };
 
-  struct RebuildScope {
-    QueryBroker& b;
-    explicit RebuildScope(QueryBroker& broker) : b(broker) {
-      b.rebuilds_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    ~RebuildScope() {
-      b.rebuilds_in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    }
+  // Gives back one count of an in-flight counter (rebuilds_in_flight_
+  // or compactions_in_flight_) that the caller took, on return or throw.
+  struct Release {
+    std::atomic<std::size_t>& n;
+    ~Release() { n.fetch_sub(1, std::memory_order_acq_rel); }
   };
 
   std::uint64_t rebuild_locked_free(
@@ -570,32 +471,64 @@ class QueryBroker {
       std::span<const std::uint32_t> external_ids = {}) {
     metrics::TraceSpan span(cfg_.trace, "rebuild", "service");
     ServiceStats::add(stats_.rebuilds, 1);
-    std::uint64_t version = store_.claim_version();
-    SnapshotPtr snap;
-    if (points.empty()) {
-      snap = SnapshotStore<D>::make_empty(version);
-    } else {
-      core::SeparatorIndexConfig icfg = cfg_.index;
-      icfg.seed += version;  // decorrelate generations
-      // An identity id map (ids == positions) collapses to the implicit
-      // convention, mirroring run_compaction.
-      std::shared_ptr<const std::vector<std::uint32_t>> ext;
-      if (!external_ids.empty()) {
-        bool identity = true;
-        for (std::size_t i = 0; i < external_ids.size() && identity; ++i)
-          identity = external_ids[i] == static_cast<std::uint32_t>(i);
-        if (!identity)
-          ext = std::make_shared<const std::vector<std::uint32_t>>(
-              external_ids.begin(), external_ids.end());
-      }
-      snap = SnapshotStore<D>::build(points, icfg, pool_, version,
-                                     cfg_.trace, std::move(ext));
-    }
+    SnapshotPtr snap = build_generation(
+        points, std::vector<std::uint32_t>(external_ids.begin(),
+                                           external_ids.end()));
+    const std::uint64_t version = snap->version;
     store_.publish(snap, &stats_);
     // Monotone on both sides: if a newer rebuild already installed its
     // view, this one is discarded there too.
     live_.install_rebuilt(std::move(snap));
     return version;
+  }
+
+  // The one way a generation is made (rebuild and compaction): claims
+  // the next version, then builds over `points` named by `ids`, with the
+  // index seed perturbed by the version so generations decorrelate. An
+  // identity id map (ids == positions, or no ids at all) collapses to
+  // the implicit convention; no points make the empty generation.
+  SnapshotPtr build_generation(std::span<const geo::Point<D>> points,
+                               std::vector<std::uint32_t> ids) {
+    const std::uint64_t version = store_.claim_version();
+    if (points.empty()) return SnapshotStore<D>::make_empty(version);
+    core::SeparatorIndexConfig icfg = cfg_.index;
+    icfg.seed += version;
+    bool identity = true;
+    for (std::size_t i = 0; i < ids.size() && identity; ++i)
+      identity = ids[i] == static_cast<std::uint32_t>(i);
+    std::shared_ptr<const std::vector<std::uint32_t>> ext;
+    if (!identity)
+      ext = std::make_shared<const std::vector<std::uint32_t>>(
+          std::move(ids));
+    return SnapshotStore<D>::build(points, icfg, pool_, version,
+                                   cfg_.trace, std::move(ext));
+  }
+
+  // Writes `view` — its base plus its flattened delta — with the
+  // sharding fields already set in `sidecar` (none for a plain save).
+  void save_view(const std::string& path, const LiveView<D>& view,
+                 io::SnapshotSidecar<D> sidecar) {
+    const FlatDelta<D> flat = flatten_delta(view);
+    if (view.base->external_ids != nullptr)
+      sidecar.external_ids = *view.base->external_ids;
+    sidecar.delta_ids = flat.ids;
+    sidecar.delta_points = flat.points;
+    sidecar.tombstones = flat.tombstones;
+    io::save_snapshot<D>(path, *view.base->index, view.base->version,
+                         sidecar);
+    ServiceStats::add(stats_.snapshot_saves, 1);
+  }
+
+  // Counts an applied update batch of `n` elements of one kind and
+  // triggers compaction once the delta is large enough.
+  void account_update(std::atomic<std::size_t>& kind, std::size_t n,
+                      const typename LiveStore<D>::UpdateOutcome& outcome,
+                      const Timer& timer) {
+    ServiceStats::add(stats_.updates_submitted, n);
+    ServiceStats::add(kind, n);
+    ServiceStats::bump_max(stats_.delta_peak, outcome.delta_pending);
+    stats_.update_apply.record_seconds(timer.seconds(), n);
+    maybe_compact(outcome.delta_pending);
   }
 
   // ----------------------------------------------------- compaction
@@ -610,17 +543,20 @@ class QueryBroker {
       return;
     auto job = live_.seal();  // nullopt when one is already in flight
     if (!job) return;
-    compactions_in_flight_.fetch_add(1, std::memory_order_acq_rel);
+    submit_background(compactions_in_flight_,
+                      [this, j = std::move(*job)] { run_compaction(j); });
+  }
+
+  // Runs `task` on the pool, counted in `in_flight` from now until it
+  // finishes; drain_rebuilds() joins it and rethrows its error.
+  template <class Task>
+  void submit_background(std::atomic<std::size_t>& in_flight, Task task)
+      SEPDC_EXCLUDES(rebuild_mu_) {
+    in_flight.fetch_add(1, std::memory_order_acq_rel);
     par::Waitable handle =
-        pool_.submit([this, j = std::move(*job)] {
-          struct Dec {
-            QueryBroker& b;
-            ~Dec() {
-              b.compactions_in_flight_.fetch_sub(
-                  1, std::memory_order_acq_rel);
-            }
-          } dec{*this};
-          run_compaction(j);
+        pool_.submit([&in_flight, task = std::move(task)] {
+          Release release{in_flight};
+          task();
         });
     LockGuard lock(rebuild_mu_);
     rebuild_handles_.push_back(std::move(handle));
@@ -632,23 +568,7 @@ class QueryBroker {
     SnapshotPtr next;
     try {
       auto [ids, pts] = merge_live_points(job);
-      std::uint64_t version = store_.claim_version();
-      if (pts.empty()) {
-        next = SnapshotStore<D>::make_empty(version);
-      } else {
-        core::SeparatorIndexConfig icfg = cfg_.index;
-        icfg.seed += version;
-        std::shared_ptr<const std::vector<std::uint32_t>> ext;
-        bool identity = true;
-        for (std::size_t i = 0; i < ids.size() && identity; ++i)
-          identity = ids[i] == static_cast<std::uint32_t>(i);
-        if (!identity)
-          ext = std::make_shared<const std::vector<std::uint32_t>>(
-              std::move(ids));
-        next = SnapshotStore<D>::build(
-            std::span<const geo::Point<D>>(pts), icfg, pool_, version,
-            cfg_.trace, std::move(ext));
-      }
+      next = build_generation(pts, std::move(ids));
     } catch (...) {
       // Fold the sealed updates back under the active ones: nothing is
       // lost, and a later trigger retries the compaction.
@@ -710,11 +630,12 @@ class QueryBroker {
     return rebuilds_in_flight_.load(std::memory_order_acquire) > 0;
   }
 
-  static void sort_radius_row(RadiusRow& row) {
-    std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second < b.second;
-      return a.first < b.first;
-    });
+  // EWMA-estimated batch service time (us) of everything queued plus
+  // `nqueries` more (acquire: pairs with the flush swap's release).
+  double backlog_us(std::size_t nqueries) const {
+    return stats_.est_batch_us_per_query.load(std::memory_order_relaxed) *
+           static_cast<double>(
+               pending_queries_.load(std::memory_order_acquire) + nqueries);
   }
 
   // Punt decision (client side, at submission): would the batch path —
@@ -731,11 +652,7 @@ class QueryBroker {
   bool should_punt(typename Clock::time_point now,
                    typename Clock::time_point deadline,
                    std::size_t nqueries) const {
-    double waiting = static_cast<double>(
-        pending_queries_.load(std::memory_order_acquire) + nqueries);
-    double est_us =
-        stats_.est_batch_us_per_query.load(std::memory_order_relaxed) *
-        waiting;
+    const double est_us = backlog_us(nqueries);
     const std::chrono::nanoseconds interval = cur_flush_interval();
     std::chrono::nanoseconds wait = interval;
     const std::int64_t oldest =
@@ -754,29 +671,19 @@ class QueryBroker {
     return eta > deadline;
   }
 
-  // Mutually exclusive per-query outcomes (service_stats.hpp taxonomy):
-  // batched + punted + fast_lane == submitted.
-  enum class Outcome { kBatched, kPunted, kFastLane };
-
-  void account_answered(std::size_t nqueries, Outcome outcome,
-                        bool is_knn, bool has_deadline,
+  // `outcome` is the request's counter in the mutually exclusive
+  // per-query taxonomy (service_stats.hpp): batched, punted or
+  // fast_lane, which sum to submitted.
+  void account_answered(const Request<D>& req,
+                        std::atomic<std::size_t>& outcome,
                         typename Clock::time_point deadline) {
-    switch (outcome) {
-      case Outcome::kBatched:
-        ServiceStats::add(stats_.batched, nqueries);
-        break;
-      case Outcome::kPunted:
-        ServiceStats::add(stats_.punted, nqueries);
-        break;
-      case Outcome::kFastLane:
-        ServiceStats::add(stats_.fast_lane, nqueries);
-        break;
-    }
-    ServiceStats::add(is_knn ? stats_.knn_answered : stats_.radius_answered,
-                      nqueries);
-    if (under_rebuild()) ServiceStats::add(stats_.rebuilt_under, nqueries);
-    if (has_deadline && Clock::now() > deadline)
-      ServiceStats::add(stats_.expired, nqueries);
+    ServiceStats::add(outcome, req.size());
+    ServiceStats::add(
+        req.is_knn() ? stats_.knn_answered : stats_.radius_answered,
+        req.size());
+    if (under_rebuild()) ServiceStats::add(stats_.rebuilt_under, req.size());
+    if (req.budget > kNoDeadline && Clock::now() > deadline)
+      ServiceStats::add(stats_.expired, req.size());
   }
 
   // ------------------------------------------------ SLO routing helpers
@@ -820,12 +727,7 @@ class QueryBroker {
     const double factor = bulk ? cfg_.slo.shed_factor
                                : cfg_.slo.interactive_shed_factor;
     if (factor <= 0.0 || budget <= kNoDeadline) return;
-    const double backlog_us =
-        stats_.est_batch_us_per_query.load(std::memory_order_relaxed) *
-        static_cast<double>(
-            pending_queries_.load(std::memory_order_relaxed) + nqueries);
-    if (backlog_us <=
-        factor * static_cast<double>(budget.count()))
+    if (backlog_us(nqueries) <= factor * static_cast<double>(budget.count()))
       return;
     shed(cls, nqueries,
          bulk ? "bulk-class request shed: estimated backlog exceeds "
@@ -836,11 +738,7 @@ class QueryBroker {
 
   [[noreturn]] void shed(SloClass cls, std::size_t nqueries,
                          const char* message) {
-    ServiceStats::add(stats_.shed, nqueries);
-    ServiceStats::add(cls == SloClass::kInteractive
-                          ? stats_.shed_interactive
-                          : stats_.shed_bulk,
-                      nqueries);
+    account_shed(stats_, cls, nqueries);
     throw QueryError("overload", message);
   }
 
@@ -854,190 +752,88 @@ class QueryBroker {
            !flush_in_flight_.load(std::memory_order_relaxed);
   }
 
+  // ------------------------------------------------- answering queries
+
   // Translate a client (external) exclude id into the base index's
-  // internal id space; absent ids come back as kNoId == kNoExclude, so
-  // the base simply has nothing to skip.
+  // internal id space; absent ids come back as kNoId == kReservedId
+  // (the index's kNoExclude), so the base simply has nothing to skip.
   static std::uint32_t base_exclude(const Snapshot& base,
                                     std::uint32_t ext) {
-    return ext == kNoExclude ? kNoExclude : base.internal_id(ext);
+    return ext == kReservedId ? kReservedId : base.internal_id(ext);
   }
 
-  // One punted/direct k-NN answer against a coherent live view: base
-  // index search with the tombstone over-fetch margin, then the sorted
-  // merge with the delta scans.
-  static KnnRow answer_knn_direct(const LiveView<D>& view,
-                                  const geo::Point<D>& q, std::size_t k,
-                                  std::uint32_t exclude) {
-    KnnRow base_rows;
-    if (view.has_base()) {
-      const std::size_t kb = k + view.tombstone_count();
-      base_rows = view.base->index
-                      ->knn(q, kb, base_exclude(*view.base, exclude))
-                      .take_sorted();
-    }
-    return merge_knn_rows(view, q, k, exclude, base_rows);
+  // No delta and identity ids: base rows are already the answer.
+  static bool is_plain(const LiveView<D>& view) {
+    return view.active->empty() && view.sealed == nullptr &&
+           view.base->external_ids == nullptr;
   }
 
-  // Answers a span of k-NN queries inline on the caller's thread via
-  // the exact direct path — shared by punting and the fast lane, which
-  // differ only in trace label, latency histogram, and outcome counter.
-  void knn_inline(std::span<const geo::Point<D>> queries, std::size_t k,
-                  std::span<const std::uint32_t> exclude,
-                  std::vector<KnnRow>& out, Outcome outcome,
-                  bool has_deadline,
-                  typename Clock::time_point deadline) {
-    const bool fast = outcome == Outcome::kFastLane;
-    metrics::TraceSpan span(cfg_.trace,
-                            fast ? "fast_lane_knn" : "punt_knn",
-                            "service");
-    Timer timer;
-    ViewPtr view = live_.current();
-    for (std::size_t i = 0; i < queries.size(); ++i)
-      out[i] = answer_knn_direct(
-          *view, queries[i], k,
-          exclude.empty() ? kNoExclude : exclude[i]);
-    (fast ? stats_.fast_lane_latency : stats_.punt_latency)
-        .record_seconds(timer.seconds(), queries.size());
-    account_answered(queries.size(), outcome, /*is_knn=*/true,
-                     has_deadline, deadline);
-  }
-
-  void radius_inline(std::span<const geo::Point<D>> queries, double r,
-                     std::vector<RadiusRow>& out, Outcome outcome,
-                     bool has_deadline,
-                     typename Clock::time_point deadline) {
-    const bool fast = outcome == Outcome::kFastLane;
-    metrics::TraceSpan span(cfg_.trace,
-                            fast ? "fast_lane_radius" : "punt_radius",
-                            "service");
-    Timer timer;
-    ViewPtr view = live_.current();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (view->has_base()) {
-        view->base->index->for_each_in_ball(
-            queries[i], r, [&](std::uint32_t internal, double d2) {
-              const std::uint32_t ext =
-                  view->base->external_id(internal);
-              if (!view->base_masked(ext))
-                out[i].emplace_back(ext, d2);
-            });
+  // Turns a radius row of base hits (internal ids, any order) into the
+  // answer: external ids, tombstoned hits dropped, the delta's live hits
+  // added, sorted by (dist2, id). A plain view only needs the sort.
+  static void finish_radius_row(const LiveView<D>& view,
+                                const geo::Point<D>& q, double r,
+                                RadiusRow& row, bool plain) {
+    if (!plain) {
+      std::size_t keep = 0;
+      for (const auto& [internal, d2] : row) {
+        const std::uint32_t ext = view.base->external_id(internal);
+        if (view.base_masked(ext)) continue;
+        row[keep++] = {ext, d2};
       }
-      view->for_each_delta_in_ball(
-          queries[i], r, [&](std::uint32_t id, double d2) {
-            out[i].emplace_back(id, d2);
+      row.resize(keep);
+      view.for_each_delta_in_ball(q, r, [&](std::uint32_t id, double d2) {
+        row.emplace_back(id, d2);
+      });
+    }
+    sort_radius_row(row);
+  }
+
+  // One direct (punted or fast-lane) answer against a coherent live
+  // view. k-NN searches the base with the tombstone over-fetch margin,
+  // then merges with the delta scans; radius marches the base ball.
+  static void answer_direct(const LiveView<D>& view, const Request<D>& req,
+                            std::size_t i, Reply& out) {
+    const geo::Point<D>& q = req.queries[i];
+    if (req.is_knn()) {
+      KnnRow base_rows;
+      if (view.has_base())
+        base_rows =
+            view.base->index
+                ->knn(q, req.k + view.tombstone_count(),
+                      base_exclude(*view.base, req.exclude_at(i)))
+                .take_sorted();
+      out.knn[i] = merge_knn_rows(view, q, req.k, req.exclude_at(i),
+                                  base_rows);
+      return;
+    }
+    RadiusRow& row = out.radius[i];
+    if (view.has_base())
+      view.base->index->for_each_in_ball(
+          q, req.radius,
+          [&](std::uint32_t internal, double d2) {
+            row.emplace_back(internal, d2);
           });
-      sort_radius_row(out[i]);
-    }
+    finish_radius_row(view, q, req.radius, row, is_plain(view));
+  }
+
+  // Answers the whole request inline on the caller's thread via the
+  // exact direct path — shared by punting and the fast lane, which
+  // differ only in trace label, latency histogram, and outcome counter.
+  void answer_inline(const Request<D>& req, Reply& out, bool fast,
+                     typename Clock::time_point deadline) {
+    static constexpr const char* kSpans[2][2] = {
+        {"punt_knn", "punt_radius"}, {"fast_lane_knn", "fast_lane_radius"}};
+    metrics::TraceSpan span(cfg_.trace, kSpans[fast][req.is_knn() ? 0 : 1],
+                            "service");
+    Timer timer;
+    ViewPtr view = live_.current();
+    for (std::size_t i = 0; i < req.size(); ++i)
+      answer_direct(*view, req, i, out);
     (fast ? stats_.fast_lane_latency : stats_.punt_latency)
-        .record_seconds(timer.seconds(), queries.size());
-    account_answered(queries.size(), outcome, /*is_knn=*/false,
-                     has_deadline, deadline);
-  }
-
-  std::vector<KnnRow> run_knn(std::span<const geo::Point<D>> queries,
-                              std::size_t k,
-                              std::chrono::microseconds budget,
-                              std::span<const std::uint32_t> exclude,
-                              SloClass cls, bool bulk_entry) {
-    SEPDC_CHECK_MSG(exclude.empty() || exclude.size() == queries.size(),
-                    "broker knn: exclude must be empty or per-query");
-    // Validate before any accounting: an invalid query is rejected at
-    // the door, never counted as submitted, never enqueued.
-    if (k == 0) throw QueryError("k", "k-NN requires k >= 1");
-    if (budget < kNoDeadline)
-      throw QueryError("budget",
-                       "budget must be >= 0; only 0 (kNoDeadline) means "
-                       "no deadline");
-    std::vector<KnnRow> out(queries.size());
-    if (queries.empty()) return out;
-    budget = effective_budget(budget, cls);
-    admit_or_shed(cls, budget, queries.size());
-    ServiceStats::add(stats_.submitted, queries.size());
-    ServiceStats::add(stats_.knn_submitted, queries.size());
-    ServiceStats::add(cls == SloClass::kInteractive
-                          ? stats_.class_interactive
-                          : stats_.class_bulk,
-                      queries.size());
-    if (bulk_entry) ServiceStats::add(stats_.bulk_requests, 1);
-
-    const bool has_deadline = budget > kNoDeadline;
-    auto now = Clock::now();
-    auto deadline =
-        has_deadline ? now + budget : Clock::time_point::max();
-    if (fast_lane_open(cls)) {
-      knn_inline(queries, k, exclude, out, Outcome::kFastLane,
-                 has_deadline, deadline);
-      return out;
-    }
-    if (has_deadline && should_punt(now, deadline, queries.size())) {
-      knn_inline(queries, k, exclude, out, Outcome::kPunted,
-                 has_deadline, deadline);
-      return out;
-    }
-
-    Pending req;
-    req.is_knn = true;
-    req.queries = queries;
-    req.exclude = exclude;
-    req.k = k;
-    req.slo = cls;
-    req.has_deadline = has_deadline;
-    req.deadline = deadline;
-    req.knn_out = &out;
-    enqueue_and_wait(req);
-    return out;
-  }
-
-  std::vector<RadiusRow> run_radius(
-      std::span<const geo::Point<D>> queries, double r,
-      std::chrono::microseconds budget, SloClass cls, bool bulk_entry) {
-    // Validate before any accounting. The finite check is load-bearing:
-    // execute() groups radius requests by == on the double, and NaN
-    // compares unequal to everything — a NaN request would never join a
-    // group (including its own) and would silently return garbage.
-    if (!(std::isfinite(r) && r >= 0.0))
-      throw QueryError("radius", "must be finite and >= 0");
-    if (budget < kNoDeadline)
-      throw QueryError("budget",
-                       "budget must be >= 0; only 0 (kNoDeadline) means "
-                       "no deadline");
-    std::vector<RadiusRow> out(queries.size());
-    if (queries.empty()) return out;
-    budget = effective_budget(budget, cls);
-    admit_or_shed(cls, budget, queries.size());
-    ServiceStats::add(stats_.submitted, queries.size());
-    ServiceStats::add(stats_.radius_submitted, queries.size());
-    ServiceStats::add(cls == SloClass::kInteractive
-                          ? stats_.class_interactive
-                          : stats_.class_bulk,
-                      queries.size());
-    if (bulk_entry) ServiceStats::add(stats_.bulk_requests, 1);
-
-    const bool has_deadline = budget > kNoDeadline;
-    auto now = Clock::now();
-    auto deadline =
-        has_deadline ? now + budget : Clock::time_point::max();
-    if (fast_lane_open(cls)) {
-      radius_inline(queries, r, out, Outcome::kFastLane, has_deadline,
-                    deadline);
-      return out;
-    }
-    if (has_deadline && should_punt(now, deadline, queries.size())) {
-      radius_inline(queries, r, out, Outcome::kPunted, has_deadline,
-                    deadline);
-      return out;
-    }
-
-    Pending req;
-    req.is_knn = false;
-    req.queries = queries;
-    req.radius = r;
-    req.slo = cls;
-    req.has_deadline = has_deadline;
-    req.deadline = deadline;
-    req.radius_out = &out;
-    enqueue_and_wait(req);
-    return out;
+        .record_seconds(timer.seconds(), req.size());
+    account_answered(req, fast ? stats_.fast_lane : stats_.punted,
+                     deadline);
   }
 
   // Appends the request and blocks until the flusher marks it done.
@@ -1056,8 +852,7 @@ class QueryBroker {
           std::memory_order_relaxed);
     }
     queue_.push_back(&req);
-    pending_queries_.fetch_add(req.queries.size(),
-                               std::memory_order_relaxed);
+    pending_queries_.fetch_add(req.req.size(), std::memory_order_relaxed);
     queue_cv_.notify_one();
     while (!req.done) done_cv_.wait(lock);
     if (req.error) std::rethrow_exception(req.error);
@@ -1129,6 +924,10 @@ class QueryBroker {
     if (!cfg_.slo.adaptive) return;
     if (++flushes_since_retune_ < cfg_.slo.control_period) return;
     flushes_since_retune_ = 0;
+    const std::uint64_t interval_ns =
+        cur_flush_interval_ns_.load(std::memory_order_relaxed);
+    const std::size_t max_batch =
+        cur_max_batch_.load(std::memory_order_relaxed);
     // Rebuild/compaction pressure: while a background build holds the
     // pool, batch service times are about to degrade — but the windowed
     // p99 only shows the damage an entire window later, so steering on
@@ -1141,22 +940,7 @@ class QueryBroker {
       ServiceStats::add(stats_.controller_updates, 1);
       ServiceStats::add(stats_.controller_tighten, 1);
       ServiceStats::add(stats_.controller_pressure_tighten, 1);
-      std::uint64_t interval_ns =
-          cur_flush_interval_ns_.load(std::memory_order_relaxed) / 2;
-      std::size_t max_batch =
-          cur_max_batch_.load(std::memory_order_relaxed) / 2;
-      interval_ns =
-          std::clamp(interval_ns, ns_count(cfg_.slo.min_flush_interval),
-                     ns_count(cfg_.slo.max_flush_interval));
-      max_batch = std::clamp(max_batch, cfg_.slo.min_batch,
-                             cfg_.slo.max_batch);
-      cur_flush_interval_ns_.store(interval_ns,
-                                   std::memory_order_relaxed);
-      cur_max_batch_.store(max_batch, std::memory_order_relaxed);
-      ServiceStats::set_gauge(
-          stats_.cur_flush_interval_us,
-          static_cast<std::size_t>(interval_ns / 1000));
-      ServiceStats::set_gauge(stats_.cur_max_batch, max_batch);
+      set_operating_point(interval_ns / 2, max_batch / 2);
       return;
     }
     metrics::HistogramSnapshot cur = stats_.queue_wait.snapshot();
@@ -1169,38 +953,20 @@ class QueryBroker {
     const double wait_p99_us = window.p99_us();
     const double target_us =
         static_cast<double>(cfg_.slo.target_queue_wait.count());
-    std::uint64_t interval_ns =
-        cur_flush_interval_ns_.load(std::memory_order_relaxed);
-    std::size_t max_batch =
-        cur_max_batch_.load(std::memory_order_relaxed);
     if (wait_p99_us > target_us) {
-      interval_ns /= 2;
-      max_batch /= 2;
       ServiceStats::add(stats_.controller_tighten, 1);
+      set_operating_point(interval_ns / 2, max_batch / 2);
     } else if (wait_p99_us < target_us / 2.0) {
-      interval_ns += interval_ns / 4 + 1;
-      max_batch += max_batch / 4 + 1;
       ServiceStats::add(stats_.controller_relax, 1);
-    } else {
-      return;  // in-band: hold the operating point
-    }
-    interval_ns =
-        std::clamp(interval_ns, ns_count(cfg_.slo.min_flush_interval),
-                   ns_count(cfg_.slo.max_flush_interval));
-    max_batch = std::clamp(max_batch, cfg_.slo.min_batch,
-                           cfg_.slo.max_batch);
-    cur_flush_interval_ns_.store(interval_ns, std::memory_order_relaxed);
-    cur_max_batch_.store(max_batch, std::memory_order_relaxed);
-    ServiceStats::set_gauge(stats_.cur_flush_interval_us,
-                            static_cast<std::size_t>(interval_ns / 1000));
-    ServiceStats::set_gauge(stats_.cur_max_batch, max_batch);
+      set_operating_point(interval_ns + interval_ns / 4 + 1,
+                          max_batch + max_batch / 4 + 1);
+    }  // else in-band: hold the operating point
   }
 
-  // Seeds the operating point from the config, validated against and
-  // clamped into the SLO bounds when the adaptive controller is on.
+  // Seeds the operating point from the config, validated against the
+  // SLO bounds when the adaptive controller is on.
   void init_operating_point() {
-    std::uint64_t interval_ns = ns_count(cfg_.flush_interval);
-    std::size_t max_batch = cfg_.max_batch;
+    SEPDC_CHECK_MSG(cfg_.max_batch >= 1, "max_batch must be >= 1");
     if (cfg_.slo.adaptive) {
       SEPDC_CHECK_MSG(cfg_.slo.min_flush_interval.count() > 0 &&
                           cfg_.slo.min_flush_interval <=
@@ -1211,6 +977,16 @@ class QueryBroker {
                       "slo: need 1 <= min_batch <= max_batch");
       SEPDC_CHECK_MSG(cfg_.slo.control_period >= 1,
                       "slo: control_period must be >= 1");
+    }
+    set_operating_point(ns_count(cfg_.flush_interval), cfg_.max_batch);
+  }
+
+  // Installs an operating point: clamped into the configured SLO bounds
+  // when the adaptive controller is on, stored for the flusher and the
+  // punt path, and mirrored into the gauges.
+  void set_operating_point(std::uint64_t interval_ns,
+                           std::size_t max_batch) {
+    if (cfg_.slo.adaptive) {
       interval_ns =
           std::clamp(interval_ns, ns_count(cfg_.slo.min_flush_interval),
                      ns_count(cfg_.slo.max_flush_interval));
@@ -1235,10 +1011,10 @@ class QueryBroker {
   }
 
   // Runs one micro-batch against the current snapshot. Requests are
-  // grouped by (kind, parameter) and each group goes through the batched
-  // index kernel in one call; per-request rows are scattered back in
-  // place. Called with mu_ released — clients are blocked on done_cv_,
-  // so every Pending and its output vector stays alive.
+  // grouped by (op, k | radius) in one pass and each group goes through
+  // the batched index kernel in one call; per-request rows are scattered
+  // back in place. Called with mu_ released — clients are blocked on
+  // done_cv_, so every Pending and its Reply stays alive.
   void execute(std::vector<Pending*>& batch) SEPDC_EXCLUDES(mu_) {
     metrics::TraceSpan flush_span(cfg_.trace, "flush", "service");
     Timer timer;
@@ -1252,8 +1028,8 @@ class QueryBroker {
     for (Pending* r : batch) {
       stats_.queue_wait.record_seconds(
           std::chrono::duration<double>(swap_now - r->enqueued).count(),
-          r->queries.size());
-      batch_queries += r->queries.size();
+          r->req.size());
+      batch_queries += r->req.size();
     }
     stats_.flush_size.record(batch_queries);
     // One coherent live view for the whole flush: every request in this
@@ -1261,132 +1037,16 @@ class QueryBroker {
     ViewPtr view = live_.current();
     std::size_t total = 0;
     try {
-      // --- k-NN groups, keyed by k.
-      std::vector<std::pair<std::size_t, std::vector<Pending*>>> kgroups;
-      std::vector<std::pair<double, std::vector<Pending*>>> rgroups;
+      std::vector<std::vector<Pending*>> groups;
       for (Pending* r : batch) {
-        if (r->is_knn) {
-          auto it = std::find_if(
-              kgroups.begin(), kgroups.end(),
-              [&](const auto& g) { return g.first == r->k; });
-          if (it == kgroups.end()) {
-            kgroups.push_back({r->k, {r}});
-          } else {
-            it->second.push_back(r);
-          }
-        } else {
-          auto it = std::find_if(
-              rgroups.begin(), rgroups.end(),
-              [&](const auto& g) { return g.first == r->radius; });
-          if (it == rgroups.end()) {
-            rgroups.push_back({r->radius, {r}});
-          } else {
-            it->second.push_back(r);
-          }
-        }
+        auto it = std::find_if(groups.begin(), groups.end(), [&](auto& g) {
+          return g.front()->req.same_group(r->req);
+        });
+        if (it == groups.end()) groups.push_back({r});
+        else it->push_back(r);
       }
-
-      const bool has_base = view->has_base();
-      const std::size_t tomb_margin = view->tombstone_count();
-      const bool plain = view->active->empty() &&
-                         view->sealed == nullptr &&
-                         view->base->external_ids == nullptr;
-
-      for (auto& [k, reqs] : kgroups) {
-        metrics::TraceSpan span(cfg_.trace, "batch_knn", "service");
-        std::size_t count = 0;
-        bool any_exclude = false;
-        for (Pending* r : reqs) {
-          count += r->queries.size();
-          any_exclude |= !r->exclude.empty();
-        }
-        std::vector<geo::Point<D>> flat;
-        flat.reserve(count);
-        std::vector<std::uint32_t> flat_exclude;
-        if (any_exclude) flat_exclude.reserve(count);
-        for (Pending* r : reqs) {
-          flat.insert(flat.end(), r->queries.begin(), r->queries.end());
-          if (any_exclude) {
-            for (std::size_t i = 0; i < r->queries.size(); ++i)
-              flat_exclude.push_back(
-                  has_base
-                      ? base_exclude(*view->base,
-                                     r->exclude.empty() ? kNoExclude
-                                                        : r->exclude[i])
-                      : kNoExclude);
-          }
-        }
-        // Tombstones can shadow up to tomb_margin base hits; over-fetch
-        // so filtering still leaves k live candidates.
-        std::vector<KnnRow> rows;
-        if (has_base) {
-          rows = view->base->index->batch_knn(
-              pool_, std::span<const geo::Point<D>>(flat),
-              k + tomb_margin,
-              std::span<const std::uint32_t>(flat_exclude));
-        } else {
-          rows.resize(flat.size());
-        }
-        std::size_t offset = 0;
-        for (Pending* r : reqs) {
-          for (std::size_t i = 0; i < r->queries.size(); ++i) {
-            if (plain) {
-              // Steady state (no delta, identity ids): the batched row
-              // is the answer, bit-for-bit as before.
-              (*r->knn_out)[i] = std::move(rows[offset + i]);
-            } else {
-              (*r->knn_out)[i] = merge_knn_rows(
-                  *view, r->queries[i], k,
-                  r->exclude.empty() ? kNoExclude : r->exclude[i],
-                  rows[offset + i]);
-            }
-          }
-          offset += r->queries.size();
-        }
-        total += count;
-      }
-
-      // --- radius groups, keyed by the radius value.
-      for (auto& [radius, reqs] : rgroups) {
-        metrics::TraceSpan span(cfg_.trace, "batch_radius", "service");
-        std::vector<geo::Point<D>> flat;
-        for (Pending* r : reqs)
-          flat.insert(flat.end(), r->queries.begin(), r->queries.end());
-        std::vector<RadiusRow> rows;
-        if (has_base) {
-          rows = view->base->index->batch_radius(
-              pool_, std::span<const geo::Point<D>>(flat), radius);
-        } else {
-          rows.resize(flat.size());
-        }
-        std::size_t offset = 0;
-        for (Pending* r : reqs) {
-          for (std::size_t i = 0; i < r->queries.size(); ++i) {
-            RadiusRow& row = rows[offset + i];
-            if (!plain) {
-              // Map internal -> external in place, dropping masked hits,
-              // then append the delta's live hits before the final sort.
-              std::size_t keep = 0;
-              for (const auto& [internal, d2] : row) {
-                const std::uint32_t ext =
-                    view->base->external_id(internal);
-                if (view->base_masked(ext)) continue;
-                row[keep++] = {ext, d2};
-              }
-              row.resize(keep);
-              view->for_each_delta_in_ball(
-                  r->queries[i], radius,
-                  [&](std::uint32_t id, double d2) {
-                    row.emplace_back(id, d2);
-                  });
-            }
-            sort_radius_row(row);
-            (*r->radius_out)[i] = std::move(row);
-          }
-          offset += r->queries.size();
-        }
-        total += flat.size();
-      }
+      for (const std::vector<Pending*>& group : groups)
+        total += execute_group(*view, group);
     } catch (...) {
       // A failed batch fails every request in it; clients rethrow.
       auto err = std::current_exception();
@@ -1395,13 +1055,77 @@ class QueryBroker {
     }
 
     for (Pending* r : batch)
-      account_answered(r->queries.size(), Outcome::kBatched, r->is_knn,
-                       r->has_deadline, r->deadline);
+      account_answered(r->req, stats_.batched, r->deadline);
     ServiceStats::bump_max(stats_.max_flush_queries, total);
     stats_.batch_execute.record_seconds(timer.seconds());
     if (total > 0)
       stats_.observe_batch_cost(timer.seconds() * 1e6 /
                                 static_cast<double>(total));
+  }
+
+  // One group's batched kernel call, its rows merged and scattered back
+  // to the requests. Returns the group's query count.
+  std::size_t execute_group(const LiveView<D>& view,
+                            const std::vector<Pending*>& group) {
+    const Request<D>& head = group.front()->req;
+    metrics::TraceSpan span(cfg_.trace,
+                            head.is_knn() ? "batch_knn" : "batch_radius",
+                            "service");
+    const bool has_base = view.has_base();
+    const bool plain = is_plain(view);
+    std::size_t count = 0;
+    bool any_exclude = false;
+    for (Pending* r : group) {
+      count += r->req.size();
+      any_exclude |= !r->req.exclude.empty();
+    }
+    std::vector<geo::Point<D>> flat;
+    flat.reserve(count);
+    std::vector<std::uint32_t> flat_exclude;
+    if (any_exclude) flat_exclude.reserve(count);
+    for (Pending* r : group) {
+      flat.insert(flat.end(), r->req.queries.begin(), r->req.queries.end());
+      if (!any_exclude) continue;
+      for (std::size_t i = 0; i < r->req.size(); ++i)
+        flat_exclude.push_back(
+            has_base ? base_exclude(*view.base, r->req.exclude_at(i))
+                     : kReservedId);
+    }
+    // The op-specific kernel call. k-NN over-fetches by the tombstone
+    // count, since tombstones can shadow that many base hits.
+    std::vector<KnnRow> knn_rows;
+    std::vector<RadiusRow> radius_rows;
+    if (head.is_knn()) {
+      knn_rows = has_base ? view.base->index->batch_knn(
+                                pool_, std::span<const geo::Point<D>>(flat),
+                                head.k + view.tombstone_count(),
+                                std::span<const std::uint32_t>(flat_exclude))
+                          : std::vector<KnnRow>(count);
+    } else {
+      radius_rows = has_base ? view.base->index->batch_radius(
+                                   pool_, std::span<const geo::Point<D>>(flat),
+                                   head.radius)
+                             : std::vector<RadiusRow>(count);
+    }
+    // The op-specific row merge; a plain view's batched k-NN row is the
+    // answer bit-for-bit.
+    std::size_t row = 0;
+    for (Pending* r : group) {
+      const Request<D>& req = r->req;
+      for (std::size_t i = 0; i < req.size(); ++i, ++row) {
+        if (req.is_knn()) {
+          r->out->knn[i] =
+              plain ? std::move(knn_rows[row])
+                    : merge_knn_rows(view, req.queries[i], req.k,
+                                     req.exclude_at(i), knn_rows[row]);
+        } else {
+          finish_radius_row(view, req.queries[i], req.radius,
+                            radius_rows[row], plain);
+          r->out->radius[i] = std::move(radius_rows[row]);
+        }
+      }
+    }
+    return count;
   }
 
   const BrokerConfig cfg_;

@@ -33,8 +33,8 @@
 //
 // Latency histograms (metrics::Histogram, lock-free log-bucket): the
 // counters say *what* happened, the histograms say *where the time
-// went*. Recording conventions, and the reconciliation invariants the
-// service tests assert at quiescence:
+// went*. Recording conventions, and the reconciliation invariants that
+// ServiceStatsSnapshot::violations() checks at quiescence:
 //   queue_wait    — per batched query: enqueue -> flush swap (ns);
 //                   count == batched.
 //   batch_execute — per flush: whole execute() duration (ns);
@@ -53,145 +53,183 @@
 //                   count == updates_submitted.
 //   compaction_build — per *installed* compaction: seal -> publish (ns);
 //                   count == compactions.
-// Per-op reconciliation (asserted by bench_service and the update
-// differential suite at quiescence):
+// Per-op reconciliation (also checked by violations()):
 //   knn_submitted + radius_submitted == submitted,
 //   knn_answered == knn_submitted, radius_answered == radius_submitted,
 //   updates_submitted == inserts + removes.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "support/metrics.hpp"
+
+// Every counter, declared once as X(name, rollup). The snapshot fields,
+// the ServiceStats atomics, snapshot() and merge() are generated from
+// this list, so they cannot drift apart. `rollup` says how merge()
+// combines two services' values: kSum adds (each such count holds per
+// shard, so the sum holds for the whole), kMax keeps the larger (high-
+// water marks), kGauge keeps this side's value (an operating point is
+// per service; summing it means nothing).
+#define SEPDC_SERVICE_COUNTERS(X)                                         \
+  X(submitted, kSum)          /* queries accepted by the service */       \
+  X(batched, kSum)            /* answered via a micro-batch */            \
+  X(punted, kSum)             /* answered via the direct fallback */      \
+  X(fast_lane, kSum)          /* answered inline on an idle broker */     \
+  X(shed, kSum)               /* rejected by admission control */         \
+  X(shed_interactive, kSum)   /* shed, interactive class */               \
+  X(shed_bulk, kSum)          /* shed, bulk class */                      \
+  X(expired, kSum)            /* answered after their deadline */         \
+  X(rebuilt_under, kSum)      /* answered while a rebuild was in flight */ \
+  X(bulk_requests, kSum)      /* multi-query submissions */               \
+  X(class_interactive, kSum)  /* accepted queries, interactive class */   \
+  X(class_bulk, kSum)         /* accepted queries, bulk class */          \
+  X(flushes, kSum)            /* micro-batches executed */                \
+  X(flush_by_size, kSum)      /* flush triggered by max_batch */          \
+  X(flush_by_deadline, kSum)  /* flush triggered by flush_interval */     \
+  X(flush_by_stop, kSum)      /* shutdown drain, size condition unmet */  \
+  X(max_flush_queries, kMax)  /* largest micro-batch seen */              \
+  X(rebuilds, kSum)           /* rebuilds started */                      \
+  X(snapshots_published, kSum)  /* generations that won publication */    \
+  X(snapshots_discarded, kSum)  /* stale builds beaten by a newer one */  \
+  X(snapshot_saves, kSum)     /* generations serialized to disk */        \
+  X(snapshot_loads, kSum)     /* generations bootstrapped from disk */    \
+  X(knn_submitted, kSum)      /* k-NN queries accepted */                 \
+  X(radius_submitted, kSum)   /* radius queries accepted */               \
+  X(knn_answered, kSum)       /* k-NN queries answered */                 \
+  X(radius_answered, kSum)    /* radius queries answered */               \
+  X(updates_submitted, kSum)  /* inserts + removes applied */             \
+  X(inserts, kSum)            /* live-tier inserts applied */             \
+  X(removes, kSum)            /* live-tier removes applied */             \
+  X(compactions, kSum)        /* delta -> base merges installed */        \
+  X(compactions_abandoned, kSum)  /* sealed but never installed */        \
+  X(delta_peak, kMax)         /* largest pending delta seen */            \
+  /* Adaptive batching controller (docs/service_architecture.md, "SLO */ \
+  /* routing & degradation"): decision counts, then the operating     */ \
+  /* point it installed last (gauges: plain stores, last writer wins). */ \
+  X(controller_updates, kSum)   /* decisions taken */                     \
+  X(controller_tighten, kSum)   /* decisions that shrank the knobs */     \
+  X(controller_relax, kSum)     /* decisions that grew the knobs */       \
+  X(controller_pressure_tighten, kSum) /* tightened under rebuild or   */ \
+                                       /* compaction pressure          */ \
+  X(cur_flush_interval_us, kGauge)  /* operating flush interval */        \
+  X(cur_max_batch, kGauge)          /* operating batch cap */             \
+  /* Sharding (shard_router.hpp): a router counts every accepted query */ \
+  /* once in fanout_queries iff it had to visit more than one shard,   */ \
+  /* and each shard visit (including the home shard) in shard_visits.  */ \
+  X(fanout_queries, kSum)     /* queries that crossed a separator */      \
+  X(shard_visits, kSum)       /* total per-shard sub-queries issued */
+
+// Latency / distribution histograms; see the recording conventions at
+// the top of this file. merge() combines them bucket-wise.
+#define SEPDC_SERVICE_HISTOGRAMS(X)                  \
+  X(queue_wait)         /* ns per batched query */   \
+  X(batch_execute)      /* ns per flush */           \
+  X(punt_latency)       /* ns per punted query */    \
+  X(fast_lane_latency)  /* ns per fast-lane query */ \
+  X(flush_size)         /* queries per flush */      \
+  X(index_load)         /* ns per snapshot bootstrap */ \
+  X(update_apply)       /* ns per insert/remove */   \
+  X(compaction_build)   /* ns per compaction */
 
 namespace sepdc::service {
 
 // Plain value snapshot, safe to copy around and serialize.
 struct ServiceStatsSnapshot {
-  std::size_t submitted = 0;       // queries accepted by the service
-  std::size_t batched = 0;         // answered via a micro-batch
-  std::size_t punted = 0;          // answered via the direct fallback
-  std::size_t fast_lane = 0;       // answered inline on an idle broker
-  std::size_t shed = 0;            // rejected by admission control
-  std::size_t shed_interactive = 0;  // shed, interactive class
-  std::size_t shed_bulk = 0;         // shed, bulk class
-  std::size_t expired = 0;         // answered after their deadline
-  std::size_t rebuilt_under = 0;   // answered while a rebuild was in flight
-  std::size_t bulk_requests = 0;   // multi-query submissions
-  std::size_t class_interactive = 0;  // accepted queries, interactive class
-  std::size_t class_bulk = 0;         // accepted queries, bulk class
-  std::size_t flushes = 0;         // micro-batches executed
-  std::size_t flush_by_size = 0;   // flush triggered by max_batch
-  std::size_t flush_by_deadline = 0;  // flush triggered by flush_interval
-  std::size_t flush_by_stop = 0;   // shutdown drain, size condition unmet
-  std::size_t max_flush_queries = 0;  // largest micro-batch seen
-  std::size_t rebuilds = 0;            // rebuilds started
-  std::size_t snapshots_published = 0;  // generations that won publication
-  std::size_t snapshots_discarded = 0;  // stale builds beaten by a newer one
-  std::size_t snapshot_saves = 0;   // generations serialized to disk
-  std::size_t snapshot_loads = 0;   // generations bootstrapped from disk
-  std::size_t knn_submitted = 0;    // k-NN queries accepted
-  std::size_t radius_submitted = 0;  // radius queries accepted
-  std::size_t knn_answered = 0;     // k-NN queries answered
-  std::size_t radius_answered = 0;  // radius queries answered
-  std::size_t updates_submitted = 0;  // inserts + removes applied
-  std::size_t inserts = 0;            // live-tier inserts applied
-  std::size_t removes = 0;            // live-tier removes applied
-  std::size_t compactions = 0;        // delta -> base merges installed
-  std::size_t compactions_abandoned = 0;  // sealed but never installed
-  std::size_t delta_peak = 0;         // largest pending delta seen
-  // Adaptive batching controller (docs/service_architecture.md, "SLO
-  // routing & degradation"): decision counts plus the live operating
-  // point (gauges, not sums — the last value the controller installed).
-  std::size_t controller_updates = 0;  // decisions taken
-  std::size_t controller_tighten = 0;  // decisions that shrank the knobs
-  std::size_t controller_relax = 0;    // decisions that grew the knobs
-  std::size_t controller_pressure_tighten = 0;  // tightened under
-                                                // rebuild/compaction pressure
-  // Sharding (shard_router.hpp): a router counts every accepted query
-  // once in fanout_queries iff it had to visit more than one shard, and
-  // each shard visit (including the home shard) in shard_visits.
+  enum class Rollup { kSum, kMax, kGauge };
+
+#define SEPDC_FIELD(name, rollup) std::size_t name = 0;
+  SEPDC_SERVICE_COUNTERS(SEPDC_FIELD)
+#undef SEPDC_FIELD
   // boundary_fanout = fanout_queries / submitted is the measured
   // boundary-crossing fraction the paper's intersection-number bound
   // O(k^(1/d) n^((d-1)/d)) promises stays a vanishing share.
-  std::size_t fanout_queries = 0;  // queries that crossed a separator
-  std::size_t shard_visits = 0;    // total per-shard sub-queries issued
-  double boundary_fanout = 0.0;    // derived: fanout_queries / submitted
-  std::size_t cur_flush_interval_us = 0;  // gauge: operating flush interval
-  std::size_t cur_max_batch = 0;          // gauge: operating batch cap
-  double est_batch_us_per_query = 0.0;  // EWMA batch service cost
-  metrics::HistogramSnapshot queue_wait;     // ns per batched query
-  metrics::HistogramSnapshot batch_execute;  // ns per flush
-  metrics::HistogramSnapshot punt_latency;   // ns per punted query
-  metrics::HistogramSnapshot fast_lane_latency;  // ns per fast-lane query
-  metrics::HistogramSnapshot flush_size;     // queries per flush
-  metrics::HistogramSnapshot index_load;     // ns per snapshot bootstrap
-  metrics::HistogramSnapshot update_apply;   // ns per insert/remove
-  metrics::HistogramSnapshot compaction_build;  // ns per compaction
+  double boundary_fanout = 0.0;
+  double est_batch_us_per_query = 0.0;  // gauge: EWMA batch service cost
+#define SEPDC_FIELD(name) metrics::HistogramSnapshot name;
+  SEPDC_SERVICE_HISTOGRAMS(SEPDC_FIELD)
+#undef SEPDC_FIELD
+
+  // Rolls `other` into this snapshot (ShardRouter::aggregated_stats):
+  // kSum counters add, kMax counters keep the larger, histograms merge
+  // bucket-wise. Gauges, est_batch_us_per_query and the derived
+  // boundary_fanout are per service and stay as they are.
+  ServiceStatsSnapshot& merge(const ServiceStatsSnapshot& other) {
+#define SEPDC_MERGE(name, r) name = rolled_up(Rollup::r, name, other.name);
+    SEPDC_SERVICE_COUNTERS(SEPDC_MERGE)
+#undef SEPDC_MERGE
+#define SEPDC_MERGE(name) name.merge(other.name);
+    SEPDC_SERVICE_HISTOGRAMS(SEPDC_MERGE)
+#undef SEPDC_MERGE
+    return *this;
+  }
+
+  // The accounting invariants, defined once: the "Reconciliation
+  // invariants" of docs/observability.md plus the identities in this
+  // file's header. They hold for a broker's snapshot, and for a
+  // router's aggregated_stats(), taken at quiescence (no request, update
+  // or compaction in flight). Returns the name of every invariant that
+  // fails; empty means the accounting reconciles. A router's own
+  // stats() count accepted queries but never batch, so they are out of
+  // scope, as is the caller-side attempts == submitted + shed.
+  std::vector<std::string> violations() const {
+    // Each invariant is named by its own source text.
+#define SEPDC_INVARIANT(lhs, rhs) {#lhs " == " #rhs, (lhs) == (rhs)}
+    const std::pair<const char*, bool> invariants[] = {
+        SEPDC_INVARIANT(batched + punted + fast_lane, submitted),
+        SEPDC_INVARIANT(shed_interactive + shed_bulk, shed),
+        SEPDC_INVARIANT(flush_by_size + flush_by_deadline + flush_by_stop,
+                        flushes),
+        SEPDC_INVARIANT(knn_submitted + radius_submitted, submitted),
+        SEPDC_INVARIANT(knn_answered, knn_submitted),
+        SEPDC_INVARIANT(radius_answered, radius_submitted),
+        SEPDC_INVARIANT(updates_submitted, inserts + removes),
+        SEPDC_INVARIANT(queue_wait.count(), batched),
+        SEPDC_INVARIANT(punt_latency.count(), punted),
+        SEPDC_INVARIANT(fast_lane_latency.count(), fast_lane),
+        SEPDC_INVARIANT(batch_execute.count(), flushes),
+        SEPDC_INVARIANT(flush_size.count(), flushes),
+        SEPDC_INVARIANT(flush_size.sum(), batched),
+        SEPDC_INVARIANT(index_load.count(), snapshot_loads),
+        SEPDC_INVARIANT(update_apply.count(), updates_submitted),
+        SEPDC_INVARIANT(compaction_build.count(), compactions),
+    };
+#undef SEPDC_INVARIANT
+    std::vector<std::string> failed;
+    for (const auto& [name, holds] : invariants)
+      if (!holds) failed.emplace_back(name);
+    return failed;
+  }
+
+ private:
+  static std::size_t rolled_up(Rollup rollup, std::size_t mine,
+                               std::size_t theirs) {
+    if (rollup == Rollup::kSum) return mine + theirs;
+    if (rollup == Rollup::kMax) return std::max(mine, theirs);
+    return mine;  // kGauge
+  }
 };
 
 class ServiceStats {
  public:
-  std::atomic<std::size_t> submitted{0};
-  std::atomic<std::size_t> batched{0};
-  std::atomic<std::size_t> punted{0};
-  std::atomic<std::size_t> fast_lane{0};
-  std::atomic<std::size_t> shed{0};
-  std::atomic<std::size_t> shed_interactive{0};
-  std::atomic<std::size_t> shed_bulk{0};
-  std::atomic<std::size_t> expired{0};
-  std::atomic<std::size_t> rebuilt_under{0};
-  std::atomic<std::size_t> bulk_requests{0};
-  std::atomic<std::size_t> class_interactive{0};
-  std::atomic<std::size_t> class_bulk{0};
-  std::atomic<std::size_t> flushes{0};
-  std::atomic<std::size_t> flush_by_size{0};
-  std::atomic<std::size_t> flush_by_deadline{0};
-  std::atomic<std::size_t> flush_by_stop{0};
-  std::atomic<std::size_t> max_flush_queries{0};
-  std::atomic<std::size_t> rebuilds{0};
-  std::atomic<std::size_t> snapshots_published{0};
-  std::atomic<std::size_t> snapshots_discarded{0};
-  std::atomic<std::size_t> snapshot_saves{0};
-  std::atomic<std::size_t> snapshot_loads{0};
-  std::atomic<std::size_t> knn_submitted{0};
-  std::atomic<std::size_t> radius_submitted{0};
-  std::atomic<std::size_t> knn_answered{0};
-  std::atomic<std::size_t> radius_answered{0};
-  std::atomic<std::size_t> updates_submitted{0};
-  std::atomic<std::size_t> inserts{0};
-  std::atomic<std::size_t> removes{0};
-  std::atomic<std::size_t> compactions{0};
-  std::atomic<std::size_t> compactions_abandoned{0};
-  std::atomic<std::size_t> delta_peak{0};
-  std::atomic<std::size_t> controller_updates{0};
-  std::atomic<std::size_t> controller_tighten{0};
-  std::atomic<std::size_t> controller_relax{0};
-  std::atomic<std::size_t> controller_pressure_tighten{0};
-  std::atomic<std::size_t> fanout_queries{0};
-  std::atomic<std::size_t> shard_visits{0};
-  // Gauges (plain stores, last writer wins): the broker's current
-  // operating point, written at construction and by every controller
-  // decision so observers can see the adaptation without broker access.
-  std::atomic<std::size_t> cur_flush_interval_us{0};
-  std::atomic<std::size_t> cur_max_batch{0};
+  // Counters and gauges (the gauges hold the broker's operating point,
+  // written at construction and by every controller decision so
+  // observers can see the adaptation without broker access).
+#define SEPDC_ATOMIC(name, rollup) std::atomic<std::size_t> name{0};
+  SEPDC_SERVICE_COUNTERS(SEPDC_ATOMIC)
+#undef SEPDC_ATOMIC
   // EWMA of per-query batch service time in microseconds; feeds the punt
   // decision (a deadline shorter than the estimated batch-path completion
   // takes the direct fallback instead) and the admission controller (the
   // estimated backlog a new bulk request would join).
   std::atomic<double> est_batch_us_per_query{0.0};
-
-  // Latency / distribution histograms; see the recording conventions at
-  // the top of this file.
-  metrics::Histogram queue_wait;
-  metrics::Histogram batch_execute;
-  metrics::Histogram punt_latency;
-  metrics::Histogram fast_lane_latency;
-  metrics::Histogram flush_size;
-  metrics::Histogram index_load;
-  metrics::Histogram update_apply;
-  metrics::Histogram compaction_build;
+#define SEPDC_HISTOGRAM(name) metrics::Histogram name;
+  SEPDC_SERVICE_HISTOGRAMS(SEPDC_HISTOGRAM)
+#undef SEPDC_HISTOGRAM
 
   static void add(std::atomic<std::size_t>& counter, std::size_t v) {
     counter.fetch_add(v, std::memory_order_relaxed);
@@ -229,71 +267,23 @@ class ServiceStats {
 
   ServiceStatsSnapshot snapshot() const {
     ServiceStatsSnapshot s;
-    s.submitted = submitted.load(std::memory_order_relaxed);
-    s.batched = batched.load(std::memory_order_relaxed);
-    s.punted = punted.load(std::memory_order_relaxed);
-    s.fast_lane = fast_lane.load(std::memory_order_relaxed);
-    s.shed = shed.load(std::memory_order_relaxed);
-    s.shed_interactive = shed_interactive.load(std::memory_order_relaxed);
-    s.shed_bulk = shed_bulk.load(std::memory_order_relaxed);
-    s.expired = expired.load(std::memory_order_relaxed);
-    s.rebuilt_under = rebuilt_under.load(std::memory_order_relaxed);
-    s.bulk_requests = bulk_requests.load(std::memory_order_relaxed);
-    s.class_interactive = class_interactive.load(std::memory_order_relaxed);
-    s.class_bulk = class_bulk.load(std::memory_order_relaxed);
-    s.flushes = flushes.load(std::memory_order_relaxed);
-    s.flush_by_size = flush_by_size.load(std::memory_order_relaxed);
-    s.flush_by_deadline = flush_by_deadline.load(std::memory_order_relaxed);
-    s.flush_by_stop = flush_by_stop.load(std::memory_order_relaxed);
-    s.max_flush_queries =
-        max_flush_queries.load(std::memory_order_relaxed);
-    s.rebuilds = rebuilds.load(std::memory_order_relaxed);
-    s.snapshots_published =
-        snapshots_published.load(std::memory_order_relaxed);
-    s.snapshots_discarded =
-        snapshots_discarded.load(std::memory_order_relaxed);
-    s.snapshot_saves = snapshot_saves.load(std::memory_order_relaxed);
-    s.snapshot_loads = snapshot_loads.load(std::memory_order_relaxed);
-    s.knn_submitted = knn_submitted.load(std::memory_order_relaxed);
-    s.radius_submitted = radius_submitted.load(std::memory_order_relaxed);
-    s.knn_answered = knn_answered.load(std::memory_order_relaxed);
-    s.radius_answered = radius_answered.load(std::memory_order_relaxed);
-    s.updates_submitted =
-        updates_submitted.load(std::memory_order_relaxed);
-    s.inserts = inserts.load(std::memory_order_relaxed);
-    s.removes = removes.load(std::memory_order_relaxed);
-    s.compactions = compactions.load(std::memory_order_relaxed);
-    s.compactions_abandoned =
-        compactions_abandoned.load(std::memory_order_relaxed);
-    s.delta_peak = delta_peak.load(std::memory_order_relaxed);
-    s.controller_updates =
-        controller_updates.load(std::memory_order_relaxed);
-    s.controller_tighten =
-        controller_tighten.load(std::memory_order_relaxed);
-    s.controller_relax = controller_relax.load(std::memory_order_relaxed);
-    s.controller_pressure_tighten =
-        controller_pressure_tighten.load(std::memory_order_relaxed);
-    s.fanout_queries = fanout_queries.load(std::memory_order_relaxed);
-    s.shard_visits = shard_visits.load(std::memory_order_relaxed);
+#define SEPDC_LOAD(name, r) s.name = name.load(std::memory_order_relaxed);
+    SEPDC_SERVICE_COUNTERS(SEPDC_LOAD)
+#undef SEPDC_LOAD
+#define SEPDC_LOAD(name) s.name = name.snapshot();
+    SEPDC_SERVICE_HISTOGRAMS(SEPDC_LOAD)
+#undef SEPDC_LOAD
+    s.est_batch_us_per_query =
+        est_batch_us_per_query.load(std::memory_order_relaxed);
     s.boundary_fanout =
         s.submitted > 0 ? static_cast<double>(s.fanout_queries) /
                               static_cast<double>(s.submitted)
                         : 0.0;
-    s.cur_flush_interval_us =
-        cur_flush_interval_us.load(std::memory_order_relaxed);
-    s.cur_max_batch = cur_max_batch.load(std::memory_order_relaxed);
-    s.est_batch_us_per_query =
-        est_batch_us_per_query.load(std::memory_order_relaxed);
-    s.queue_wait = queue_wait.snapshot();
-    s.batch_execute = batch_execute.snapshot();
-    s.punt_latency = punt_latency.snapshot();
-    s.fast_lane_latency = fast_lane_latency.snapshot();
-    s.flush_size = flush_size.snapshot();
-    s.index_load = index_load.snapshot();
-    s.update_apply = update_apply.snapshot();
-    s.compaction_build = compaction_build.snapshot();
     return s;
   }
 };
 
 }  // namespace sepdc::service
+
+#undef SEPDC_SERVICE_COUNTERS
+#undef SEPDC_SERVICE_HISTOGRAMS

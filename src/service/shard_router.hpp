@@ -179,12 +179,6 @@ class ShardFunction {
     }
   }
 
-  std::vector<std::uint32_t> overlapping(const geo::Ball<D>& b) const {
-    std::vector<std::uint32_t> out;
-    for_each_overlapping(b, [&](std::uint32_t s) { out.push_back(s); });
-    return out;
-  }
-
  private:
   std::uint32_t pack(const core::PartitionForest<D>& forest,
                      std::uint32_t src,
@@ -232,16 +226,12 @@ struct ShardRouterConfig {
 // and counts in the router's shed/shed_* counters, so the caller-side
 // invariant attempts == submitted + shed holds at the router too.
 template <int D>
-class ShardRouter {
+class ShardRouter : public QueryEntryPoints<ShardRouter<D>, D> {
  public:
   using Broker = QueryBroker<D>;
-  using KnnRow = typename Broker::KnnRow;
-  using RadiusRow = typename Broker::RadiusRow;
+  using KnnRow = service::KnnRow;
+  using RadiusRow = service::RadiusRow;
   using Point = geo::Point<D>;
-
-  static constexpr std::uint32_t kNoExclude = Broker::kNoExclude;
-  static constexpr std::chrono::microseconds kNoDeadline =
-      Broker::kNoDeadline;
 
   // Builds the shard function over `points` (external ids 0..n-1, the
   // single-broker rebuild convention) and one broker per shard, each
@@ -260,7 +250,7 @@ class ShardRouter {
   ShardRouter(const std::string& path, const ShardRouterConfig& cfg,
               par::ThreadPool& pool)
       : fn_(load_fn(path)),
-        brokers_(load_brokers(path, fn_, cfg, pool)) {}
+        brokers_(load_brokers(path, cfg, pool)) {}
 
   std::uint32_t shard_count() const {
     return static_cast<std::uint32_t>(brokers_.size());
@@ -269,179 +259,23 @@ class ShardRouter {
   Broker& shard(std::uint32_t s) { return *brokers_[s]; }
 
   // ------------------------------------------------------- query API
-
-  KnnRow knn(const Point& q, std::size_t k,
-             std::chrono::microseconds budget = kNoDeadline,
-             std::uint32_t exclude = kNoExclude,
-             SloClass cls = SloClass::kInteractive) {
-    validate_knn(k, budget);
-    const std::uint32_t home = fn_.shard_of(q);
-    KnnRow row = with_shed_accounting(cls, 1, [&] {
-      KnnRow home_row = shard(home).knn(q, k, budget, exclude, cls);
-      const std::vector<std::uint32_t> targets =
-          knn_fanout_targets(q, k, home_row, home);
-      if (targets.empty()) {
-        account_query(/*is_knn=*/true, cls, 1, 1, 0, false);
-        return home_row;
-      }
-      std::vector<KnnRow> extra(targets.size());
-      scatter(targets.size(), [&](std::size_t t) {
-        extra[t] = shard(targets[t]).knn(q, k, budget, exclude, cls);
-      });
-      account_query(/*is_knn=*/true, cls, 1, 1 + targets.size(), 1,
-                    false);
-      return merge_knn(std::move(home_row), extra, k);
-    });
-    return row;
-  }
-
-  std::vector<KnnRow> bulk_knn(std::span<const Point> queries,
-                               std::size_t k,
-                               std::chrono::microseconds budget =
-                                   kNoDeadline,
-                               std::span<const std::uint32_t> exclude = {},
-                               SloClass cls = SloClass::kBulk) {
-    SEPDC_CHECK_MSG(exclude.empty() || exclude.size() == queries.size(),
-                    "router knn: exclude must be empty or per-query");
-    validate_knn(k, budget);
-    std::vector<KnnRow> out(queries.size());
-    if (queries.empty()) return out;
-    with_shed_accounting(cls, queries.size(), [&] {
-      // Phase 1: every query to its home shard, one bulk submission per
-      // shard group, groups in flight concurrently.
-      std::vector<std::vector<std::uint32_t>> groups(shard_count());
-      for (std::size_t i = 0; i < queries.size(); ++i)
-        groups[fn_.shard_of(queries[i])].push_back(
-            static_cast<std::uint32_t>(i));
-      std::vector<std::uint32_t> active;
-      for (std::uint32_t s = 0; s < shard_count(); ++s)
-        if (!groups[s].empty()) active.push_back(s);
-      scatter(active.size(), [&](std::size_t a) {
-        const std::uint32_t s = active[a];
-        std::vector<Point> sub;
-        std::vector<std::uint32_t> sub_excl;
-        sub.reserve(groups[s].size());
-        for (std::uint32_t i : groups[s]) {
-          sub.push_back(queries[i]);
-          if (!exclude.empty()) sub_excl.push_back(exclude[i]);
-        }
-        std::vector<KnnRow> rows = shard(s).bulk_knn(
-            sub, k, budget, sub_excl, cls);
-        for (std::size_t j = 0; j < groups[s].size(); ++j)
-          out[groups[s][j]] = std::move(rows[j]);
-      });
-      // Phase 2: queries whose ball crosses a separator visit the
-      // overlapping shards, again grouped per target shard.
-      std::vector<std::vector<std::uint32_t>> fan(shard_count());
-      std::size_t fanned = 0;
-      std::size_t visits = queries.size();
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const std::uint32_t home = groups_home(groups, i);
-        const std::vector<std::uint32_t> targets =
-            knn_fanout_targets(queries[i], k, out[i], home);
-        if (targets.empty()) continue;
-        ++fanned;
-        visits += targets.size();
-        for (std::uint32_t t : targets)
-          fan[t].push_back(static_cast<std::uint32_t>(i));
-      }
-      std::vector<std::uint32_t> fan_active;
-      for (std::uint32_t s = 0; s < shard_count(); ++s)
-        if (!fan[s].empty()) fan_active.push_back(s);
-      std::vector<std::vector<KnnRow>> fan_rows(fan_active.size());
-      scatter(fan_active.size(), [&](std::size_t a) {
-        const std::uint32_t s = fan_active[a];
-        std::vector<Point> sub;
-        std::vector<std::uint32_t> sub_excl;
-        sub.reserve(fan[s].size());
-        for (std::uint32_t i : fan[s]) {
-          sub.push_back(queries[i]);
-          if (!exclude.empty()) sub_excl.push_back(exclude[i]);
-        }
-        fan_rows[a] = shard(s).bulk_knn(sub, k, budget, sub_excl, cls);
-      });
-      // Gather: merge each fanned query's extra rows into its home row.
-      std::vector<std::vector<KnnRow>> per_query(queries.size());
-      for (std::size_t a = 0; a < fan_active.size(); ++a) {
-        const std::uint32_t s = fan_active[a];
-        for (std::size_t j = 0; j < fan[s].size(); ++j)
-          per_query[fan[s][j]].push_back(std::move(fan_rows[a][j]));
-      }
-      for (std::size_t i = 0; i < queries.size(); ++i)
-        if (!per_query[i].empty())
-          out[i] = merge_knn(std::move(out[i]), per_query[i], k);
-      account_query(/*is_knn=*/true, cls, queries.size(), visits,
-                    fanned, true);
-      return 0;
-    });
-    return out;
-  }
-
-  RadiusRow radius(const Point& q, double r,
-                   std::chrono::microseconds budget = kNoDeadline,
-                   SloClass cls = SloClass::kInteractive) {
-    validate_radius(r, budget);
-    const std::vector<std::uint32_t> targets =
-        fn_.overlapping(geo::Ball<D>{q, r});
-    return with_shed_accounting(cls, 1, [&] {
-      if (targets.size() == 1) {
-        RadiusRow row = shard(targets[0]).radius(q, r, budget, cls);
-        account_query(/*is_knn=*/false, cls, 1, 1, 0, false);
-        return row;
-      }
-      std::vector<RadiusRow> rows(targets.size());
-      scatter(targets.size(), [&](std::size_t t) {
-        rows[t] = shard(targets[t]).radius(q, r, budget, cls);
-      });
-      account_query(/*is_knn=*/false, cls, 1, targets.size(), 1, false);
-      return merge_radius(rows);
-    });
-  }
-
-  std::vector<RadiusRow> bulk_radius(std::span<const Point> queries,
-                                     double r,
-                                     std::chrono::microseconds budget =
-                                         kNoDeadline,
-                                     SloClass cls = SloClass::kBulk) {
-    validate_radius(r, budget);
-    std::vector<RadiusRow> out(queries.size());
-    if (queries.empty()) return out;
-    with_shed_accounting(cls, queries.size(), [&] {
-      std::vector<std::vector<std::uint32_t>> groups(shard_count());
-      std::size_t visits = 0;
-      std::size_t fanned = 0;
-      for (std::size_t i = 0; i < queries.size(); ++i) {
-        const std::vector<std::uint32_t> targets =
-            fn_.overlapping(geo::Ball<D>{queries[i], r});
-        visits += targets.size();
-        if (targets.size() > 1) ++fanned;
-        for (std::uint32_t t : targets)
-          groups[t].push_back(static_cast<std::uint32_t>(i));
-      }
-      std::vector<std::uint32_t> active;
-      for (std::uint32_t s = 0; s < shard_count(); ++s)
-        if (!groups[s].empty()) active.push_back(s);
-      std::vector<std::vector<RadiusRow>> rows(active.size());
-      scatter(active.size(), [&](std::size_t a) {
-        const std::uint32_t s = active[a];
-        std::vector<Point> sub;
-        sub.reserve(groups[s].size());
-        for (std::uint32_t i : groups[s]) sub.push_back(queries[i]);
-        rows[a] = shard(s).bulk_radius(sub, r, budget, cls);
-      });
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        const std::uint32_t s = active[a];
-        for (std::size_t j = 0; j < groups[s].size(); ++j) {
-          RadiusRow& dst = out[groups[s][j]];
-          RadiusRow& src = rows[a][j];
-          dst.insert(dst.end(), src.begin(), src.end());
-        }
-      }
-      for (RadiusRow& row : out) sort_radius_row(row);
-      account_query(/*is_knn=*/false, cls, queries.size(), visits,
-                    fanned, true);
-      return 0;
-    });
+  // knn()/bulk_knn()/radius()/bulk_radius() (QueryEntryPoints) all land
+  // here, a single-query call being a one-query request: one
+  // scatter/gather (scatter_gather below) whose per-shard sub-requests
+  // carry the request's class, budget and bulk-entry flag, so a shard
+  // counts them as it would count the client's own call.
+  Reply serve(const Request<D>& req) {
+    req.validate();
+    Reply out = req.empty_reply();
+    if (req.queries.empty()) return out;
+    try {
+      scatter_gather(req, out);
+    } catch (const QueryError& e) {
+      // A shard shed the request: nothing was answered, so the router
+      // counts it as shed too (attempts == submitted + shed holds here).
+      if (e.field() == "overload") account_shed(stats_, req.cls, req.size());
+      throw;
+    }
     return out;
   }
 
@@ -450,25 +284,14 @@ class ShardRouter {
   // the broker's. Insert checks liveness router-wide before routing so
   // an external id stays unique across shards; concurrent conflicting
   // updates of the *same id* are the caller's race, exactly as they are
-  // on a single broker.
+  // on a single broker. Single insert()/remove() are one-element bulk
+  // calls.
 
   void insert(std::uint32_t id, const Point& p) {
-    validate_insert(id, p);
-    if (contains(id))
-      throw QueryError("id", "insert of an id that is already live");
-    shard(fn_.shard_of(p)).insert(id, p);
-    ServiceStats::add(stats_.updates_submitted, 1);
-    ServiceStats::add(stats_.inserts, 1);
+    insert_bulk({&id, 1}, {&p, 1});
   }
 
-  void remove(std::uint32_t id) {
-    const std::uint32_t owner = owner_of(id);
-    if (owner == ShardFunction<D>::kNoShard)
-      throw QueryError("id", "remove of an id that is not live");
-    shard(owner).remove(id);
-    ServiceStats::add(stats_.updates_submitted, 1);
-    ServiceStats::add(stats_.removes, 1);
-  }
+  void remove(std::uint32_t id) { remove_bulk({&id, 1}); }
 
   // Bulk mutation: validated all-or-nothing at the router (any bad
   // element rejects the whole batch before any shard mutates), then
@@ -483,7 +306,7 @@ class ShardRouter {
     if (ids.empty()) return;
     std::set<std::uint32_t> batch;
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      validate_insert(ids[i], points[i]);
+      check_insert(ids[i], points[i]);
       if (contains(ids[i]))
         throw QueryError("id", "insert of an id that is already live");
       if (!batch.insert(ids[i]).second)
@@ -581,64 +404,27 @@ class ShardRouter {
     return brokers_[s]->stats();
   }
 
-  // Rolled-up view: the sum of every shard broker's counters (batching
-  // taxonomy, flushes, updates, compactions — each holds per shard, so
-  // the sums hold too) with the router's fan-out accounting grafted on
-  // top. boundary_fanout is computed against the *router's* submitted
-  // count: per-shard submissions intentionally double-count fanned
-  // queries (that duplication is exactly the boundary cost the paper
-  // bounds). Histograms are per-shard; read them via shard_stats().
+  // Rolled-up view: every shard broker's snapshot merged
+  // (ServiceStatsSnapshot::merge — counters sum, max_flush_queries and
+  // delta_peak take the max, histograms merge bucket-wise; the gauges
+  // stay per shard, read them via shard_stats()) with the router's
+  // fan-out accounting grafted on top. boundary_fanout is computed
+  // against the *router's* submitted count: per-shard submissions
+  // intentionally double-count fanned queries (that duplication is
+  // exactly the boundary cost the paper bounds).
   ServiceStatsSnapshot aggregated_stats() const {
     ServiceStatsSnapshot agg;
-    for (const auto& b : brokers_) {
-      ServiceStatsSnapshot s = b->stats();
-      agg.submitted += s.submitted;
-      agg.batched += s.batched;
-      agg.punted += s.punted;
-      agg.fast_lane += s.fast_lane;
-      agg.shed += s.shed;
-      agg.shed_interactive += s.shed_interactive;
-      agg.shed_bulk += s.shed_bulk;
-      agg.expired += s.expired;
-      agg.rebuilt_under += s.rebuilt_under;
-      agg.bulk_requests += s.bulk_requests;
-      agg.class_interactive += s.class_interactive;
-      agg.class_bulk += s.class_bulk;
-      agg.flushes += s.flushes;
-      agg.flush_by_size += s.flush_by_size;
-      agg.flush_by_deadline += s.flush_by_deadline;
-      agg.flush_by_stop += s.flush_by_stop;
-      agg.max_flush_queries =
-          std::max(agg.max_flush_queries, s.max_flush_queries);
-      agg.rebuilds += s.rebuilds;
-      agg.snapshots_published += s.snapshots_published;
-      agg.snapshots_discarded += s.snapshots_discarded;
-      agg.snapshot_saves += s.snapshot_saves;
-      agg.snapshot_loads += s.snapshot_loads;
-      agg.knn_submitted += s.knn_submitted;
-      agg.radius_submitted += s.radius_submitted;
-      agg.knn_answered += s.knn_answered;
-      agg.radius_answered += s.radius_answered;
-      agg.updates_submitted += s.updates_submitted;
-      agg.inserts += s.inserts;
-      agg.removes += s.removes;
-      agg.compactions += s.compactions;
-      agg.compactions_abandoned += s.compactions_abandoned;
-      agg.delta_peak = std::max(agg.delta_peak, s.delta_peak);
-    }
+    for (const auto& b : brokers_) agg.merge(b->stats());
     const ServiceStatsSnapshot mine = stats_.snapshot();
     agg.fanout_queries = mine.fanout_queries;
     agg.shard_visits = mine.shard_visits;
-    agg.boundary_fanout =
-        mine.submitted > 0
-            ? static_cast<double>(mine.fanout_queries) /
-                  static_cast<double>(mine.submitted)
-            : 0.0;
+    agg.boundary_fanout = mine.boundary_fanout;
     return agg;
   }
 
  private:
   using BrokerVec = std::vector<std::unique_ptr<Broker>>;
+  using Groups = std::vector<std::vector<std::uint32_t>>;  // per shard
 
   static BrokerVec make_brokers(const ShardFunction<D>& fn,
                                 std::span<const Point> points,
@@ -672,7 +458,6 @@ class ShardRouter {
   }
 
   static BrokerVec load_brokers(const std::string& path,
-                                const ShardFunction<D>& fn,
                                 const ShardRouterConfig& cfg,
                                 par::ThreadPool& pool) {
     io::LoadedShardFile<D> manifest = io::read_shard_file<D>(path);
@@ -699,7 +484,6 @@ class ShardRouter {
             std::make_unique<Broker>(spath, cfg.broker, pool));
       }
     }
-    (void)fn;
     return brokers;
   }
 
@@ -735,81 +519,114 @@ class ShardRouter {
     return targets;
   }
 
-  // Merge sorted (dist2, id) rows from disjoint shards: concatenate,
-  // one sort, truncate. Rows never share an id (shards are disjoint),
-  // so the (dist2, id) comparison is a strict weak order with no
-  // duplicate keys and the result is bit-identical to the single-broker
-  // row.
-  static KnnRow merge_knn(KnnRow home, std::span<const KnnRow> extra,
-                          std::size_t k) {
-    for (const KnnRow& row : extra)
-      home.insert(home.end(), row.begin(), row.end());
-    std::sort(home.begin(), home.end());
-    if (home.size() > k) home.resize(k);
-    return home;
+  // ------------------------------------------------------ scatter/gather
+
+  // Phase 1 sends each query to its home shard (k-NN) or to every shard
+  // its ball overlaps (radius); phase 2 sends each k-NN query whose
+  // inflated k-th ball crosses a separator to the other shards that
+  // ball overlaps. Rows merge under (dist2, id): shards are disjoint, so
+  // rows never share an id, the order is strict, and each merged row is
+  // bit-identical to the single-broker row.
+  void scatter_gather(const Request<D>& req, Reply& out) {
+    const std::size_t n = req.size();
+    std::size_t visits = 0;
+    std::size_t fanned = 0;
+    Groups groups(shard_count());
+    std::vector<std::uint32_t> home(req.is_knn() ? n : 0);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (req.is_knn()) {
+        home[i] = fn_.shard_of(req.queries[i]);
+        groups[home[i]].push_back(i);
+        ++visits;
+        continue;
+      }
+      std::size_t targets = 0;
+      fn_.for_each_overlapping(geo::Ball<D>{req.queries[i], req.radius},
+                               [&](std::uint32_t s) {
+                                 groups[s].push_back(i);
+                                 ++targets;
+                               });
+      visits += targets;
+      if (targets > 1) ++fanned;
+    }
+    scatter_to(req, groups, out);
+
+    if (!req.is_knn()) {
+      for (RadiusRow& row : out.radius) sort_radius_row(row);
+    } else {
+      // Phase 2: the home row is the answer unless its k-th ball
+      // crosses a separator.
+      for (std::vector<std::uint32_t>& g : groups) g.clear();
+      std::vector<std::uint32_t> crossed;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const std::vector<std::uint32_t> targets = knn_fanout_targets(
+            req.queries[i], req.k, out.knn[i], home[i]);
+        if (targets.empty()) continue;
+        crossed.push_back(i);
+        visits += targets.size();
+        for (std::uint32_t t : targets) groups[t].push_back(i);
+      }
+      scatter_to(req, groups, out);
+      for (std::uint32_t i : crossed) {
+        KnnRow& row = out.knn[i];
+        std::sort(row.begin(), row.end());
+        if (row.size() > req.k) row.resize(req.k);
+      }
+      fanned = crossed.size();
+    }
+
+    account_submitted(stats_, req);
+    ServiceStats::add(
+        req.is_knn() ? stats_.knn_answered : stats_.radius_answered, n);
+    ServiceStats::add(stats_.shard_visits, visits);
+    ServiceStats::add(stats_.fanout_queries, fanned);
   }
 
-  static void sort_radius_row(RadiusRow& row) {
-    std::sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second < b.second;
-      return a.first < b.first;
+  // Sends each shard its group of the request's queries as one
+  // sub-request (the groups in flight concurrently) and appends every
+  // returned row to its query's row in `out`.
+  void scatter_to(const Request<D>& req, const Groups& groups,
+                  Reply& out) {
+    std::vector<std::uint32_t> active;
+    for (std::uint32_t s = 0; s < shard_count(); ++s)
+      if (!groups[s].empty()) active.push_back(s);
+    std::vector<Reply> replies(active.size());
+    scatter(active.size(), [&](std::size_t a) {
+      const std::vector<std::uint32_t>& group = groups[active[a]];
+      std::vector<Point> queries;
+      std::vector<std::uint32_t> exclude;
+      queries.reserve(group.size());
+      for (std::uint32_t i : group) {
+        queries.push_back(req.queries[i]);
+        if (!req.exclude.empty()) exclude.push_back(req.exclude[i]);
+      }
+      Request<D> sub = req;
+      sub.queries = queries;
+      sub.exclude = exclude;
+      replies[a] = shard(active[a]).serve(sub);
     });
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      const std::vector<std::uint32_t>& group = groups[active[a]];
+      for (std::size_t j = 0; j < group.size(); ++j) {
+        if (req.is_knn()) {
+          append_row(out.knn[group[j]], replies[a].knn[j]);
+        } else {
+          append_row(out.radius[group[j]], replies[a].radius[j]);
+        }
+      }
+    }
   }
 
-  static RadiusRow merge_radius(std::span<const RadiusRow> rows) {
-    RadiusRow out;
-    std::size_t total = 0;
-    for (const RadiusRow& r : rows) total += r.size();
-    out.reserve(total);
-    for (const RadiusRow& r : rows)
-      out.insert(out.end(), r.begin(), r.end());
-    sort_radius_row(out);
-    return out;
-  }
-
-  // -------------------------------------------------------- plumbing
-
-  void validate_knn(std::size_t k,
-                    std::chrono::microseconds budget) const {
-    if (k == 0) throw QueryError("k", "k-NN requires k >= 1");
-    if (budget < kNoDeadline)
-      throw QueryError("budget",
-                       "budget must be >= 0; only 0 (kNoDeadline) means "
-                       "no deadline");
-  }
-
-  void validate_radius(double r,
-                       std::chrono::microseconds budget) const {
-    if (!(std::isfinite(r) && r >= 0.0))
-      throw QueryError("radius", "must be finite and >= 0");
-    if (budget < kNoDeadline)
-      throw QueryError("budget",
-                       "budget must be >= 0; only 0 (kNoDeadline) means "
-                       "no deadline");
-  }
-
-  static void validate_insert(std::uint32_t id, const Point& p) {
-    if (id == DeltaSegment<D>::kReservedId)
-      throw QueryError("id", "0xffffffff is reserved");
-    for (int dim = 0; dim < D; ++dim)
-      if (!std::isfinite(p[dim]))
-        throw QueryError("point", "coordinates must be finite");
+  template <class Row>
+  static void append_row(Row& dst, Row& src) {
+    if (dst.empty()) dst = std::move(src);
+    else dst.insert(dst.end(), src.begin(), src.end());
   }
 
   std::uint32_t owner_of(std::uint32_t id) const {
     for (std::uint32_t s = 0; s < shard_count(); ++s)
       if (brokers_[s]->contains(id)) return s;
     return ShardFunction<D>::kNoShard;
-  }
-
-  static std::uint32_t groups_home(
-      const std::vector<std::vector<std::uint32_t>>& groups,
-      std::size_t query) {
-    for (std::uint32_t s = 0; s < groups.size(); ++s)
-      for (std::uint32_t i : groups[s])
-        if (i == query) return s;
-    SEPDC_CHECK_MSG(false, "router: query missing from home groups");
-    return 0;
   }
 
   // Runs n independent sub-tasks, the first on the calling thread and
@@ -847,45 +664,6 @@ class ShardRouter {
     for (std::thread& t : joiners) t.join();
     LockGuard lock(err_mu);
     if (err) std::rethrow_exception(err);
-  }
-
-  // Shed accounting wrapper: a QueryError("overload") escaping any
-  // shard counts the whole request as shed at the router (nothing was
-  // answered), keeping attempts == submitted + shed router-side.
-  template <class Fn>
-  auto with_shed_accounting(SloClass cls, std::size_t nqueries, Fn&& fn)
-      -> decltype(fn()) {
-    try {
-      return fn();
-    } catch (const QueryError& e) {
-      if (e.field() == "overload") {
-        ServiceStats::add(stats_.shed, nqueries);
-        ServiceStats::add(cls == SloClass::kInteractive
-                              ? stats_.shed_interactive
-                              : stats_.shed_bulk,
-                          nqueries);
-      }
-      throw;
-    }
-  }
-
-  void account_query(bool is_knn, SloClass cls, std::size_t nqueries,
-                     std::size_t visits, std::size_t fanned,
-                     bool bulk_entry) {
-    ServiceStats::add(stats_.submitted, nqueries);
-    ServiceStats::add(is_knn ? stats_.knn_submitted
-                             : stats_.radius_submitted,
-                      nqueries);
-    ServiceStats::add(is_knn ? stats_.knn_answered
-                             : stats_.radius_answered,
-                      nqueries);
-    ServiceStats::add(cls == SloClass::kInteractive
-                          ? stats_.class_interactive
-                          : stats_.class_bulk,
-                      nqueries);
-    ServiceStats::add(stats_.shard_visits, visits);
-    ServiceStats::add(stats_.fanout_queries, fanned);
-    if (bulk_entry) ServiceStats::add(stats_.bulk_requests, 1);
   }
 
   const ShardFunction<D> fn_;

@@ -164,26 +164,8 @@ class SnapshotStore {
   }
 
   // ----------------------------------------------------- persistence
-  // See docs/persistence.md. Both entry points throw io::SnapshotIoError
-  // on any file defect and never publish a partially-loaded generation.
-
-  // Serializes the currently published generation to `path` (atomic:
-  // tmp file + rename) with an empty delta. Returns false — and writes
-  // nothing — when no generation has been published yet or the current
-  // generation is empty (a snapshot file needs a built base; the broker
-  // serializes base *and* delta coherently via its own save_snapshot).
-  bool save_current(const std::string& path, ServiceStats* stats = nullptr,
-                    metrics::TraceRecorder* trace = nullptr) const {
-    Ptr cur = current();
-    if (!cur || cur->index == nullptr) return false;
-    metrics::TraceSpan span(trace, "index_save", "snapshot");
-    io::SnapshotSidecar<D> sidecar;
-    if (cur->external_ids != nullptr)
-      sidecar.external_ids = *cur->external_ids;
-    io::save_snapshot<D>(path, *cur->index, cur->version, sidecar);
-    if (stats) ServiceStats::add(stats->snapshot_saves, 1);
-    return true;
-  }
+  // See docs/persistence.md. Saving is QueryBroker::save_snapshot's job
+  // (a base and its pending delta, written as one view).
 
   // Bootstraps a generation from a snapshot file: mmaps `path`,
   // validates, adopts the mapping zero-copy, and publishes under a

@@ -1,6 +1,5 @@
-// The arena-backed PartitionForest: traversal orders, structural
-// invariants of engine-built forests (leaf disjointness + coverage), and
-// round-trip equivalence against the legacy pointer tree via to_legacy().
+// The arena-backed PartitionForest: traversal orders and structural
+// invariants of engine-built forests (leaf disjointness + coverage).
 #include "core/partition_forest.hpp"
 
 #include <gtest/gtest.h>
@@ -74,7 +73,7 @@ TEST(PartitionForest, CountsAndHeight) {
   EXPECT_EQ(f.node_count(), 5u);
   EXPECT_EQ(f.leaf_count(), 3u);
   EXPECT_EQ(f.point_count(), 4u);
-  EXPECT_EQ(f.height(), 3u);  // leaves at height 1, like the legacy tree
+  EXPECT_EQ(f.height(), 3u);  // leaves at height 1
   EXPECT_FALSE(f.empty());
 }
 
@@ -88,62 +87,6 @@ TEST(PartitionForest, EmptyForest) {
   f.preorder([&](std::uint32_t) { ++visits; });
   f.level_order([&](std::uint32_t, std::size_t) { ++visits; });
   EXPECT_EQ(visits, 0u);
-  EXPECT_EQ(f.to_legacy(), nullptr);
-}
-
-TEST(PartitionForest, LegacyRoundTripOnHandBuiltForest) {
-  auto f = small_forest();
-  auto legacy = f.to_legacy();
-  ASSERT_NE(legacy, nullptr);
-  EXPECT_EQ(legacy->size(), 4u);
-  EXPECT_EQ(legacy->height(), f.height());
-  EXPECT_EQ(legacy->leaf_count(), f.leaf_count());
-  EXPECT_EQ(legacy->inner->inner->begin, 0u);
-  EXPECT_EQ(legacy->inner->inner->end, 1u);
-  EXPECT_EQ(legacy->outer->begin, 2u);
-  EXPECT_TRUE(legacy->outer->is_leaf());
-}
-
-// Walks the flat forest and the legacy pointer tree in lockstep and
-// checks node-for-node agreement.
-template <int D>
-void expect_equivalent(const PartitionForest<D>& f,
-                       const PartitionNode<D>* legacy) {
-  struct Pair {
-    std::uint32_t id;
-    const PartitionNode<D>* node;
-  };
-  ASSERT_EQ(f.empty(), legacy == nullptr);
-  if (f.empty()) return;
-  std::vector<Pair> stack{{f.root_id(), legacy}};
-  std::size_t visited = 0;
-  while (!stack.empty()) {
-    auto [id, node] = stack.back();
-    stack.pop_back();
-    ++visited;
-    const auto& fn = f.node(id);
-    ASSERT_EQ(fn.begin, node->begin);
-    ASSERT_EQ(fn.end, node->end);
-    ASSERT_EQ(fn.is_leaf(), node->is_leaf());
-    if (!fn.is_leaf()) {
-      stack.push_back({fn.inner, node->inner.get()});
-      stack.push_back({fn.outer, node->outer.get()});
-    }
-  }
-  EXPECT_EQ(visited, f.node_count());
-}
-
-TEST(PartitionForest, EngineForestRoundTripsThroughLegacy) {
-  Rng rng(2024);
-  auto pts = workload::gaussian_clusters<2>(3000, 5, 0.02, rng);
-  std::span<const geo::Point<2>> span(pts);
-  Config cfg;
-  cfg.k = 2;
-  cfg.seed = 99;
-  auto out = NearestNeighborEngine<2>::run(span, cfg,
-                                           par::ThreadPool::global());
-  auto legacy = out.forest.to_legacy();
-  expect_equivalent(out.forest, legacy.get());
 }
 
 TEST(PartitionForest, EngineLeavesAreDisjointAndCoverAllPoints) {

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -346,6 +348,40 @@ TEST(SnapshotDelta, MidCompactionSaveRoundTripsByteIdentically) {
   save_view(*live2.current(), p2);
   EXPECT_EQ(read_file_bytes(p1), read_file_bytes(p2))
       << "save -> load -> save must be byte-identical";
+}
+
+// Every saved byte is defined. Two indexes over the same points, built
+// from equal-valued configs whose storage was pre-filled with different
+// bytes, save to byte-identical files: the config's alignment gaps (in
+// the meta section) and every SeparatorShape's gaps (in each forest
+// node) are explicit zeroed members, not padding that carries whatever
+// the stack or heap held.
+TEST(SnapshotFile, EqualStateSavesByteIdenticalFiles) {
+  par::ThreadPool pool(4);
+  auto points = make_points(workload::Kind::UniformCube, 400, 331);
+  auto save_over_fill = [&](unsigned char fill, const std::string& path) {
+    alignas(core::SeparatorIndexConfig) unsigned char
+        storage[sizeof(core::SeparatorIndexConfig)];
+    std::memset(storage, fill, sizeof(storage));
+    // Through a volatile pointer, so the fill cannot be dropped as a
+    // dead store before the constructor runs.
+    void* volatile where = storage;
+    auto* cfg = new (where) core::SeparatorIndexConfig;
+    cfg->leaf_size = 16;
+    core::SeparatorIndex<2> index(std::span<const Pt>(points), *cfg, pool);
+    save_snapshot<2>(path, index, 1);
+  };
+  const std::string p1 = temp_path("equal_state_a5.sepdc");
+  const std::string p2 = temp_path("equal_state_5a.sepdc");
+  save_over_fill(0xA5, p1);
+  save_over_fill(0x5A, p2);
+  const std::vector<char> a = read_file_bytes(p1);
+  const std::vector<char> b = read_file_bytes(p2);
+  ASSERT_EQ(a.size(), b.size());
+  const auto diff = std::mismatch(a.begin(), a.end(), b.begin());
+  EXPECT_TRUE(diff.first == a.end())
+      << "equal state saved different bytes, first at file offset "
+      << (diff.first - a.begin());
 }
 
 // Saves land via tmp-file + atomic rename, so a load racing a save (the

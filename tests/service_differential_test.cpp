@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "knn/brute_force.hpp"
 #include "workload/generators.hpp"
@@ -125,6 +127,7 @@ TEST_P(ServiceDifferential, AllKnnEqualsBruteForceAcrossConfigs) {
     EXPECT_EQ(s.flush_size.count(), s.flushes) << v.name;
     EXPECT_EQ(s.flush_size.sum(), s.batched) << v.name;
     EXPECT_EQ(s.flush_size.max(), s.max_flush_queries) << v.name;
+    EXPECT_EQ(s.violations(), std::vector<std::string>{}) << v.name;
   }
 }
 
@@ -229,6 +232,7 @@ TEST(ServiceDifferentialCoalescing, TwoClientsShareBatches) {
   // if each flushed alone... at minimum the flush machinery ran.
   EXPECT_GT(s.flushes, 0u);
   EXPECT_GE(s.max_flush_queries, 23u);
+  EXPECT_EQ(s.violations(), std::vector<std::string>{});
 }
 
 // Invalid query parameters are rejected at submission with a typed
@@ -352,6 +356,7 @@ TEST(ServicePunting, BudgetBelowFlushIntervalPuntsEverything) {
   EXPECT_GT(s.punt_latency.max(), 0u);
   EXPECT_EQ(s.queue_wait.count(), 0u);
   EXPECT_EQ(s.flush_size.count(), s.flushes);
+  EXPECT_EQ(s.violations(), std::vector<std::string>{});
 }
 
 }  // namespace

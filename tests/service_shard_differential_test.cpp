@@ -239,6 +239,7 @@ void run_shard_schedule(std::uint32_t shards, workload::Kind kind,
   EXPECT_GE(s.shard_visits, s.submitted);
   EXPECT_LE(s.boundary_fanout, 1.0);
   auto agg = router.aggregated_stats();
+  EXPECT_EQ(agg.violations(), std::vector<std::string>{});
   EXPECT_EQ(agg.updates_submitted, n_updates);
   EXPECT_GE(agg.submitted, s.submitted) << "per-shard submissions must "
                                            "cover every router query";
@@ -318,6 +319,42 @@ TEST(ServiceShardFanout, BoundaryFanoutDecaysAsNGrows) {
   EXPECT_LE(fanout[2], 0.6 * fanout[0] + 1e-9)
       << "boundary fan-out is not decaying: " << fanout[0] << " -> "
       << fanout[1] << " -> " << fanout[2];
+}
+
+// The rollup carries every shard counter and histogram. It used to
+// drop the controller_* counters and all histograms, so
+// aggregated_stats() read 0 decisions and empty histograms however busy
+// the shards' adaptive controllers were.
+TEST(ServiceShardRollup, AggregatedStatsCarryControllerAndHistograms) {
+  auto& pool = par::ThreadPool::global();
+  Rng rng(7800);
+  auto points = workload::uniform_cube<2>(2000, rng);
+  ShardRouterConfig cfg = router_config(4, rng.next());
+  cfg.broker.slo.adaptive = true;
+  cfg.broker.slo.control_period = 1;
+  ShardRouter<2> router(std::span<const Pt>(points), cfg, pool);
+  ASSERT_GE(router.shard_count(), 2u);
+  for (int round = 0; round < 16; ++round) {
+    std::vector<Pt> queries;
+    for (int i = 0; i < 64; ++i)
+      queries.push_back({{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)}});
+    router.bulk_knn(std::span<const Pt>(queries), 4);
+    router.bulk_radius(std::span<const Pt>(queries), 0.05);
+  }
+  // Quiescence: a controller decision runs after its flush's clients
+  // wake, so stop every flusher before reading.
+  for (std::uint32_t sh = 0; sh < router.shard_count(); ++sh)
+    router.shard(sh).shutdown();
+
+  const ServiceStatsSnapshot agg = router.aggregated_stats();
+  std::size_t controller_updates = 0;
+  for (std::uint32_t sh = 0; sh < router.shard_count(); ++sh)
+    controller_updates += router.shard_stats(sh).controller_updates;
+  EXPECT_GT(agg.controller_updates, 0u);
+  EXPECT_EQ(agg.controller_updates, controller_updates);
+  EXPECT_GT(agg.batched, 0u);
+  EXPECT_EQ(agg.queue_wait.count(), agg.batched);
+  EXPECT_EQ(agg.violations(), std::vector<std::string>{});
 }
 
 // Sharded persistence: save_current writes one file per shard plus a

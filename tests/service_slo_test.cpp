@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,7 @@ TEST(ServiceSlo, ClassDefaultBudgetApplies) {
   EXPECT_EQ(s.batched, 4u);
   EXPECT_EQ(s.class_bulk, 4u);
   EXPECT_EQ(s.batched + s.punted + s.fast_lane, s.submitted);
+  EXPECT_EQ(s.violations(), std::vector<std::string>{});
 }
 
 // --------------------------------------------------------- fast lane
@@ -212,10 +214,12 @@ TEST(ServiceSlo, FastLaneMatchesBatchedAnswersWithLiveUpdates) {
   EXPECT_EQ(sf.punted, 0u);
   EXPECT_EQ(sf.batched + sf.punted + sf.fast_lane, sf.submitted);
   EXPECT_EQ(sf.fast_lane_latency.count(), sf.fast_lane);
+  EXPECT_EQ(sf.violations(), std::vector<std::string>{});
 
   auto sb = batched.stats();
   EXPECT_EQ(sb.fast_lane, 0u);
   EXPECT_EQ(sb.batched, 2 * nq);
+  EXPECT_EQ(sb.violations(), std::vector<std::string>{});
 
   // Bulk-class traffic never takes the lane, even on an idle broker.
   auto rows = fast.bulk_knn(span.subspan(0, 8), k);
@@ -304,6 +308,7 @@ TEST(ServiceSlo, ShedRequestsReconcileUnderConcurrency) {
   EXPECT_EQ(s.queue_wait.count(), s.batched);
   EXPECT_EQ(s.punt_latency.count(), s.punted);
   EXPECT_EQ(s.fast_lane_latency.count(), s.fast_lane);
+  EXPECT_EQ(s.violations(), std::vector<std::string>{});
 }
 
 // --------------------------------------------------------- controller
@@ -439,6 +444,7 @@ TEST(ServiceSlo, InteractiveRequestsShedByCost) {
   EXPECT_EQ(s.shed, s.shed_interactive + s.shed_bulk);
   EXPECT_EQ(s.submitted, before.submitted) << "shed moved submitted";
   EXPECT_EQ(s.batched + s.punted + s.fast_lane, s.submitted);
+  EXPECT_EQ(s.violations(), std::vector<std::string>{});
 
   // Budget-less interactive traffic keeps flowing.
   EXPECT_EQ(broker.knn(points[1], k).size(), k);

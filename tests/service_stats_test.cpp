@@ -1,13 +1,17 @@
 // Tests for service/service_stats.hpp, pinning the CAS-loop EWMA
-// estimator (observe_batch_cost), the histogram snapshot plumbing, and
-// the flush-trigger taxonomy the broker maintains
-// (flush_by_size + flush_by_deadline + flush_by_stop == flushes).
+// estimator (observe_batch_cost), the histogram snapshot plumbing, the
+// flush-trigger taxonomy the broker maintains
+// (flush_by_size + flush_by_deadline + flush_by_stop == flushes), the
+// one definition of the accounting invariants (violations()), and the
+// shard rollup (merge()).
 #include "service/service_stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -161,6 +165,135 @@ TEST(ServiceStats, FlushTriggerTaxonomyReconciles) {
               s.flushes);
     EXPECT_EQ(s.batched, 1u);  // drained, answered exactly, not dropped
   }
+}
+
+// A snapshot whose accounting reconciles: 10 queries (6 k-NN, 4
+// radius; 5 batched in 2 flushes, 3 punted, 2 fast-lane), 3 shed, 5
+// updates, one compaction, one bootstrap.
+sepdc::service::ServiceStatsSnapshot reconciled_snapshot() {
+  ServiceStats st;
+  ServiceStats::add(st.submitted, 10);
+  ServiceStats::add(st.knn_submitted, 6);
+  ServiceStats::add(st.radius_submitted, 4);
+  ServiceStats::add(st.knn_answered, 6);
+  ServiceStats::add(st.radius_answered, 4);
+  ServiceStats::add(st.batched, 5);
+  ServiceStats::add(st.punted, 3);
+  ServiceStats::add(st.fast_lane, 2);
+  ServiceStats::add(st.shed, 3);
+  ServiceStats::add(st.shed_interactive, 1);
+  ServiceStats::add(st.shed_bulk, 2);
+  ServiceStats::add(st.flushes, 2);
+  ServiceStats::add(st.flush_by_size, 1);
+  ServiceStats::add(st.flush_by_deadline, 1);
+  ServiceStats::add(st.updates_submitted, 5);
+  ServiceStats::add(st.inserts, 3);
+  ServiceStats::add(st.removes, 2);
+  ServiceStats::add(st.compactions, 1);
+  ServiceStats::add(st.snapshot_loads, 1);
+  st.queue_wait.record(1000, 5);
+  st.punt_latency.record(1000, 3);
+  st.fast_lane_latency.record(1000, 2);
+  st.batch_execute.record(5000, 2);
+  st.flush_size.record(2);
+  st.flush_size.record(3);
+  st.index_load.record(7000);
+  st.update_apply.record(900, 5);
+  st.compaction_build.record(8000);
+  return st.snapshot();
+}
+
+// A histogram snapshot holding `values`, one sample each.
+sepdc::metrics::HistogramSnapshot histogram_of(
+    std::initializer_list<std::uint64_t> values) {
+  sepdc::metrics::Histogram h;
+  for (std::uint64_t v : values) h.record(v);
+  return h.snapshot();
+}
+
+// violations() is the one definition of the accounting invariants: a
+// reconciled snapshot reports none, and a snapshot that breaks exactly
+// one invariant reports exactly that invariant's name.
+TEST(ServiceStats, ViolationsNameEachBrokenInvariant) {
+  using Snap = sepdc::service::ServiceStatsSnapshot;
+  EXPECT_TRUE(reconciled_snapshot().violations().empty());
+
+  struct Case {
+    const char* name;
+    std::function<void(Snap&)> breaks;
+  };
+  const Case cases[] = {
+      {"batched + punted + fast_lane == submitted",
+       [](Snap& s) {
+         ++s.submitted;  // with its per-op counts, so only this breaks
+         ++s.knn_submitted;
+         ++s.knn_answered;
+       }},
+      {"shed_interactive + shed_bulk == shed", [](Snap& s) { ++s.shed; }},
+      {"flush_by_size + flush_by_deadline + flush_by_stop == flushes",
+       [](Snap& s) { ++s.flush_by_stop; }},
+      {"knn_submitted + radius_submitted == submitted",
+       [](Snap& s) {
+         ++s.knn_submitted;
+         ++s.knn_answered;
+       }},
+      {"knn_answered == knn_submitted", [](Snap& s) { ++s.knn_answered; }},
+      {"radius_answered == radius_submitted",
+       [](Snap& s) { ++s.radius_answered; }},
+      {"updates_submitted == inserts + removes",
+       [](Snap& s) { ++s.inserts; }},
+      {"queue_wait.count() == batched",
+       [](Snap& s) { s.queue_wait = histogram_of({1, 1, 1, 1, 1, 1}); }},
+      {"punt_latency.count() == punted",
+       [](Snap& s) { s.punt_latency = histogram_of({1}); }},
+      {"fast_lane_latency.count() == fast_lane",
+       [](Snap& s) { s.fast_lane_latency = histogram_of({1}); }},
+      {"batch_execute.count() == flushes",
+       [](Snap& s) { s.batch_execute = histogram_of({1, 1, 1}); }},
+      {"flush_size.count() == flushes",
+       [](Snap& s) { s.flush_size = histogram_of({1, 2, 2}); }},
+      {"flush_size.sum() == batched",
+       [](Snap& s) { s.flush_size = histogram_of({3, 3}); }},
+      {"index_load.count() == snapshot_loads",
+       [](Snap& s) { s.index_load = histogram_of({1, 1}); }},
+      {"update_apply.count() == updates_submitted",
+       [](Snap& s) { s.update_apply = histogram_of({1}); }},
+      {"compaction_build.count() == compactions",
+       [](Snap& s) { s.compaction_build = histogram_of({1, 1}); }},
+  };
+  for (const Case& c : cases) {
+    Snap s = reconciled_snapshot();
+    c.breaks(s);
+    EXPECT_EQ(s.violations(), std::vector<std::string>{c.name}) << c.name;
+  }
+}
+
+// The shard rollup: counters tagged sum add, the two high-water marks
+// take the max, histograms merge bucket-wise, and the gauges stay as
+// they were (an operating point is per shard).
+TEST(ServiceStats, MergeRollsUpBySumMaxAndHistogram) {
+  ServiceStats a;
+  ServiceStats b;
+  ServiceStats::add(a.controller_updates, 3);
+  ServiceStats::add(b.controller_updates, 4);
+  ServiceStats::add(a.batched, 2);
+  ServiceStats::bump_max(a.max_flush_queries, 9);
+  ServiceStats::bump_max(b.max_flush_queries, 5);
+  ServiceStats::bump_max(b.delta_peak, 12);
+  ServiceStats::set_gauge(a.cur_max_batch, 64);
+  ServiceStats::set_gauge(b.cur_max_batch, 32);
+  a.queue_wait.record(1000, 2);
+  b.queue_wait.record(3000, 1);
+
+  auto merged = a.snapshot();
+  merged.merge(b.snapshot());
+  EXPECT_EQ(merged.controller_updates, 7u);
+  EXPECT_EQ(merged.batched, 2u);
+  EXPECT_EQ(merged.max_flush_queries, 9u);
+  EXPECT_EQ(merged.delta_peak, 12u);
+  EXPECT_EQ(merged.cur_max_batch, 64u);
+  EXPECT_EQ(merged.queue_wait.count(), 3u);
+  EXPECT_EQ(merged.queue_wait.sum(), 5000u);
 }
 
 }  // namespace
