@@ -94,7 +94,7 @@ struct FileHeader {
   std::uint32_t section_count = 0;
   std::uint64_t file_bytes = 0;     // total, for truncation detection
   std::uint64_t point_count = 0;
-  std::uint64_t saved_version = 0;  // SnapshotStore generation at save
+  std::uint64_t saved_version = 0;  // service generation at save
   std::uint64_t header_checksum = 0;  // fnv1a64 of the preceding bytes
 };
 SEPDC_PIN_TRIVIAL_LAYOUT(FileHeader, 56, 8);
@@ -286,9 +286,9 @@ struct SnapshotSidecar {
   std::uint32_t shard_root = 0;
 };
 
-// Serializes a built index. `version` is the SnapshotStore generation
-// being saved (recorded, not trusted on load — a bootstrapping store
-// claims a fresh version).
+// Serializes a built index. `version` is the service generation being
+// saved (recorded, not trusted on load — a cold-starting service claims
+// a fresh version).
 template <int D>
 void save_snapshot(const std::string& path,
                    const core::SeparatorIndex<D>& index,
@@ -410,8 +410,9 @@ void save_shard_stub(const std::string& path,
                               version, sections);
 }
 
-// The pending delta replayed from a snapshot file — owned copies (the
-// delta is tiny and mutable state must not alias the read-only mapping).
+// A pending delta flattened onto its base: what a save writes and a
+// load hands back to the live tier. Loads make owned copies (the delta
+// is tiny and mutable state must not alias the read-only mapping).
 template <int D>
 struct LoadedDelta {
   std::vector<std::uint32_t> ids;          // sorted insert external ids

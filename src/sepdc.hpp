@@ -9,7 +9,7 @@
 //     queries over the partition tree)
 //   - separator::SphereSeparatorSampler (the MTTV separator itself)
 //   - service::QueryBroker (concurrent micro-batched query serving with
-//     snapshot handoff), service::SnapshotStore
+//     snapshot handoff), service::IndexSnapshot
 //   - knn:: brute force, kd-tree, graphs, serialization
 //   - workload:: generators, support:: RNG / stats / tables
 #pragma once

@@ -25,15 +25,16 @@
 // (dist2, id) tie-break survives translation. Compaction sorts live
 // points by external id to maintain exactly this invariant.
 //
-// Concurrency protocol (mirrors snapshot.hpp's generation discipline):
-// all mutable state lives behind the annotated mu_; every mutation
-// re-publishes an immutable LiveView through one atomic shared_ptr
-// store, and readers take one acquire load — a reader can never observe
-// a half-applied update or a torn (base, delta) pair, and an update is
-// visible to every query submitted after the updating call returned
-// ("as-of-submission" semantics). The view_ atomic is on the idiom
-// linter's allowlist for exactly this single-writer-publish /
-// many-reader-load protocol.
+// Concurrency protocol: LiveStore is the service's one published state.
+// All mutable state — the base generation, the delta maps and the
+// generation version counter — lives behind the annotated mu_; every
+// mutation, rebuild, compaction and cold start re-publishes an immutable
+// LiveView through one atomic shared_ptr store, and readers take one
+// acquire load — a reader can never observe a half-applied update or a
+// torn (base, delta) pair, and an update is visible to every query
+// submitted after the updating call returned ("as-of-submission"
+// semantics). The view_ atomic is on the idiom linter's allowlist for
+// exactly this single-writer-publish / many-reader-load protocol.
 #pragma once
 
 #include <algorithm>
@@ -174,7 +175,7 @@ class DeltaSegment {
 template <int D>
 struct LiveView {
   using Point = geo::Point<D>;
-  using SnapshotPtr = typename SnapshotStore<D>::Ptr;
+  using SnapshotPtr = typename IndexSnapshot<D>::Ptr;
   using SegmentPtr = typename DeltaSegment<D>::Ptr;
 
   std::uint64_t seq = 0;    // strictly monotone publication counter
@@ -220,7 +221,7 @@ struct LiveView {
     }
     if (!has_base()) return nullptr;
     std::uint32_t internal = base->internal_id(ext);
-    if (internal == IndexSnapshot<D>::kNoId) return nullptr;
+    if (internal == kReservedId) return nullptr;
     return &base->index->points()[internal];
   }
 
@@ -273,18 +274,11 @@ std::vector<knn::TopK::Entry> merge_knn_rows(
 }
 
 // The delta of a view flattened to sit directly on its base: the state
-// save_snapshot serializes and bootstrap replays. Deterministic (sorted
-// by id), so save -> load -> save round-trips byte-identically even when
-// the saved view was mid-compaction.
+// save_snapshot serializes and a load hands back, in the same type.
+// Deterministic (sorted by id), so save -> load -> save round-trips
+// byte-identically even when the saved view was mid-compaction.
 template <int D>
-struct FlatDelta {
-  std::vector<std::uint32_t> ids;
-  std::vector<geo::Point<D>> points;
-  std::vector<std::uint32_t> tombstones;
-};
-
-template <int D>
-FlatDelta<D> flatten_delta(const LiveView<D>& view) {
+io::LoadedDelta<D> flatten_delta(const LiveView<D>& view) {
   std::map<std::uint32_t, geo::Point<D>> adds;
   std::set<std::uint32_t> tombs;
   const DeltaSegment<D>& active = *view.active;
@@ -294,7 +288,7 @@ FlatDelta<D> flatten_delta(const LiveView<D>& view) {
     // Active tombstones over sealed adds vanish with the sealed add;
     // only masks of *base* ids survive flattening.
     if (view.has_base() &&
-        view.base->internal_id(t) != IndexSnapshot<D>::kNoId)
+        view.base->internal_id(t) != kReservedId)
       tombs.insert(t);
   }
   if (view.sealed != nullptr) {
@@ -306,7 +300,7 @@ FlatDelta<D> flatten_delta(const LiveView<D>& view) {
       adds.emplace(id, sealed.points()[i]);
     }
   }
-  FlatDelta<D> flat;
+  io::LoadedDelta<D> flat;
   flat.ids.reserve(adds.size());
   flat.points.reserve(adds.size());
   for (const auto& [id, p] : adds) {
@@ -317,14 +311,16 @@ FlatDelta<D> flatten_delta(const LiveView<D>& view) {
   return flat;
 }
 
-// The mutable coordinator: owns the update maps under mu_ and publishes
-// immutable LiveViews. One LiveStore per broker; updates serialize on
-// mu_ (they are rare and tiny next to queries), reads never touch it.
+// The mutable coordinator and the service's one published state: owns
+// the base generation, the update maps and the version counter under mu_
+// and publishes immutable LiveViews. One LiveStore per broker; updates
+// serialize on mu_ (they are rare and tiny next to queries), reads never
+// touch it.
 template <int D>
 class LiveStore {
  public:
   using Point = geo::Point<D>;
-  using SnapshotPtr = typename SnapshotStore<D>::Ptr;
+  using SnapshotPtr = typename IndexSnapshot<D>::Ptr;
   using SegmentPtr = typename DeltaSegment<D>::Ptr;
   using ViewPtr = std::shared_ptr<const LiveView<D>>;
 
@@ -333,50 +329,45 @@ class LiveStore {
     std::uint64_t seq = 0;          // publication that made it visible
   };
 
-  // A sealed compaction's inputs. `epoch` pins the world the job was
-  // sealed against: any reset (rebuild/bootstrap) bumps the epoch, and a
-  // job whose epoch went stale is abandoned instead of installed.
+  // A sealed compaction's inputs. The job owns its sealed segment, so no
+  // later segment can reuse that address while the job lives:
+  // sealed_ == job.sealed is an exact test that no install (rebuild or
+  // cold start) or cancel replaced the world the job was sealed against.
   struct CompactionJob {
-    std::uint64_t epoch = 0;
     SnapshotPtr base;
     SegmentPtr sealed;
   };
 
   // Wait-free: one atomic acquire load (null only before the first
-  // reset; the broker installs a base before serving).
+  // install; the broker installs a base before serving).
   ViewPtr current() const {
     return view_.load(std::memory_order_acquire);
   }
 
-  // Full reset: `base` becomes the world, the delta is dropped, any
-  // in-flight compaction is orphaned (its epoch goes stale). The rebuild
-  // and bootstrap path.
-  void reset(SnapshotPtr base) SEPDC_EXCLUDES(mu_) {
+  // Claims the next generation version, before the generation is built.
+  // Only rebuilds and cold starts claim one: a compaction does not change
+  // the live set, so its generation keeps its base's version and can
+  // never outrank a rebuild.
+  std::uint64_t claim_version() SEPDC_EXCLUDES(mu_) {
     LockGuard lock(mu_);
-    reset_locked(std::move(base));
+    return ++versions_;
   }
 
-  // Reset that loses races gracefully: installs `base` only when it is
-  // strictly newer than the current one (concurrent rebuilds resolve the
-  // same way SnapshotStore::publish does). Returns false when discarded.
-  bool install_rebuilt(SnapshotPtr base) SEPDC_EXCLUDES(mu_) {
-    LockGuard lock(mu_);
-    if (base_ != nullptr && base_->version >= base->version) return false;
-    reset_locked(std::move(base));
-    return true;
-  }
-
-  // Cold-start: `base` plus a replayed flat delta (bootstrap path).
-  void reset_with_delta(SnapshotPtr base, std::vector<std::uint32_t> ids,
-                        std::vector<Point> points,
-                        std::vector<std::uint32_t> tombstones)
+  // Makes `base` plus the flat `delta` the whole live set — the rebuild
+  // and cold-start path: the pending delta is replaced and an in-flight
+  // compaction is orphaned. Loses races gracefully: installs only when
+  // `base` is strictly newer than the current base, so of concurrent
+  // rebuilds the newest claim wins. Returns false, changing nothing,
+  // when discarded.
+  bool install(SnapshotPtr base, const io::LoadedDelta<D>& delta = {})
       SEPDC_EXCLUDES(mu_) {
     LockGuard lock(mu_);
-    reset_locked(std::move(base));
-    for (std::size_t i = 0; i < ids.size(); ++i)
-      adds_.emplace(ids[i], points[i]);
-    tombs_.insert(tombstones.begin(), tombstones.end());
+    if (base_ != nullptr && base_->version >= base->version) return false;
+    base_ = std::move(base);
+    sealed_ = nullptr;
+    replace_delta_locked(delta);
     publish_locked();
+    return true;
   }
 
   // One-element insert_bulk / remove_bulk: same checks, same
@@ -455,18 +446,18 @@ class LiveStore {
     adds_.clear();
     tombs_.clear();
     publish_locked();
-    return CompactionJob{epoch_, base_, sealed_};
+    return CompactionJob{base_, sealed_};
   }
 
   // Installs the compacted base and drops the sealed segment — in one
   // publication, so no reader ever pairs the new base with the delta
   // that was folded into it. Returns false (and installs nothing) when
-  // the job's epoch went stale.
+  // the job went stale.
   bool finish_compaction(const CompactionJob& job, SnapshotPtr next)
       SEPDC_EXCLUDES(mu_) {
     LockGuard lock(mu_);
-    if (epoch_ != job.epoch || sealed_ == nullptr) return false;
-    SEPDC_ASSERT(sealed_ == job.sealed);
+    if (sealed_ != job.sealed) return false;
+    SEPDC_ASSERT(next->version == base_->version);
     base_ = std::move(next);
     sealed_ = nullptr;
     publish_locked();
@@ -475,32 +466,28 @@ class LiveStore {
 
   // Build-failure path: folds the sealed segment back under the active
   // updates so nothing is lost, then clears the seal so a later
-  // compaction can retry. No-op when the epoch went stale.
+  // compaction can retry. No-op when the job went stale.
   void cancel_compaction(const CompactionJob& job) SEPDC_EXCLUDES(mu_) {
     LockGuard lock(mu_);
-    if (epoch_ != job.epoch || sealed_ == nullptr) return;
+    if (sealed_ != job.sealed) return;
     LiveView<D> v;
     v.base = base_;
     v.sealed = sealed_;
     v.active = make_segment_locked();
-    FlatDelta<D> flat = flatten_delta(v);
-    adds_.clear();
-    tombs_.clear();
-    for (std::size_t i = 0; i < flat.ids.size(); ++i)
-      adds_.emplace(flat.ids[i], flat.points[i]);
-    tombs_.insert(flat.tombstones.begin(), flat.tombstones.end());
+    replace_delta_locked(flatten_delta(v));
     sealed_ = nullptr;
     publish_locked();
   }
 
  private:
-  void reset_locked(SnapshotPtr base) SEPDC_REQUIRES(mu_) {
-    base_ = std::move(base);
-    sealed_ = nullptr;
+  // The active delta becomes exactly `flat`.
+  void replace_delta_locked(const io::LoadedDelta<D>& flat)
+      SEPDC_REQUIRES(mu_) {
     adds_.clear();
     tombs_.clear();
-    ++epoch_;
-    publish_locked();
+    for (std::size_t i = 0; i < flat.ids.size(); ++i)
+      adds_.emplace(flat.ids[i], flat.points[i]);
+    tombs_.insert(flat.tombstones.begin(), flat.tombstones.end());
   }
 
   bool live_locked(std::uint32_t id) const SEPDC_REQUIRES(mu_) {
@@ -511,7 +498,7 @@ class LiveStore {
       if (sealed_->has_tombstone(id)) return false;
     }
     return base_ != nullptr && base_->index != nullptr &&
-           base_->internal_id(id) != IndexSnapshot<D>::kNoId;
+           base_->internal_id(id) != kReservedId;
   }
 
   SegmentPtr make_segment_locked() const SEPDC_REQUIRES(mu_) {
@@ -560,7 +547,7 @@ class LiveStore {
   std::map<std::uint32_t, Point> adds_ SEPDC_GUARDED_BY(mu_);
   std::set<std::uint32_t> tombs_ SEPDC_GUARDED_BY(mu_);
   std::uint64_t seq_ SEPDC_GUARDED_BY(mu_) = 0;
-  std::uint64_t epoch_ SEPDC_GUARDED_BY(mu_) = 0;
+  std::uint64_t versions_ SEPDC_GUARDED_BY(mu_) = 0;  // last claimed
   std::atomic<std::shared_ptr<const LiveView<D>>> view_{nullptr};
 };
 

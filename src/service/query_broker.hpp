@@ -13,9 +13,9 @@
 // account, then answer on the fast lane, punt, or enqueue.
 //
 // Index updates never block readers: rebuilds construct a complete
-// immutable snapshot off to the side and publish it through the
-// SnapshotStore's atomic shared_ptr slot. A query grabs the current
-// snapshot once and runs entirely against that generation.
+// immutable snapshot off to the side and publish it through the live
+// store's one atomic view slot (delta_tier.hpp). A query grabs the
+// current view once and runs entirely against that generation.
 //
 // Point-level mutation goes through the delta tier (delta_tier.hpp,
 // docs/updates.md): insert()/remove() apply to a small mutable overlay
@@ -176,7 +176,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   using KnnRow = service::KnnRow;
   using RadiusRow = service::RadiusRow;
   using Snapshot = IndexSnapshot<D>;
-  using SnapshotPtr = typename SnapshotStore<D>::Ptr;
+  using SnapshotPtr = typename Snapshot::Ptr;
   using ViewPtr = typename LiveStore<D>::ViewPtr;
 
   // An empty `points` span starts the service delta-only: generation 1
@@ -217,13 +217,12 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
               par::ThreadPool& pool)
       : cfg_(cfg), pool_(pool) {
     init_operating_point();
+    // Install the file's pending delta with its base: a save taken with
+    // updates in flight bootstraps to the identical live set.
     io::LoadedDelta<D> delta;
-    store_.bootstrap_from(snapshot_path, &stats_, cfg_.trace, &delta);
-    // Replay the file's pending delta into the live tier: a save taken
-    // with updates in flight bootstraps to the identical live set.
-    live_.reset_with_delta(store_.current(), std::move(delta.ids),
-                           std::move(delta.points),
-                           std::move(delta.tombstones));
+    SnapshotPtr base = Snapshot::load(snapshot_path, live_.claim_version(),
+                                      delta, &stats_, cfg_.trace);
+    count_publication(live_.install(std::move(base), delta));
     flusher_ = std::thread([this] { flusher_loop(); });
   }
 
@@ -236,7 +235,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // queries, updates, rebuilds, and compactions.
   bool save_snapshot(const std::string& path) {
     ViewPtr view = live_.current();
-    if (view == nullptr || !view->has_base()) return false;
+    if (!view->has_base()) return false;
     metrics::TraceSpan span(cfg_.trace, "index_save", "snapshot");
     save_view(path, *view, {});
     return true;
@@ -254,9 +253,8 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
                            std::uint32_t shard_id, std::uint32_t root) {
     ViewPtr view = live_.current();
     metrics::TraceSpan span(cfg_.trace, "index_save", "snapshot");
-    if (view == nullptr || !view->has_base()) {
-      FlatDelta<D> flat =
-          view != nullptr ? flatten_delta(*view) : FlatDelta<D>{};
+    if (!view->has_base()) {
+      const io::LoadedDelta<D> flat = flatten_delta(*view);
       // No base means nothing to tombstone against: the flattened
       // delta is pure adds (read_shard_file pins this).
       io::save_shard_stub<D>(path, cut, shard_count, shard_id, root,
@@ -382,15 +380,15 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   }
 
   bool contains(std::uint32_t id) const {
-    ViewPtr view = live_.current();
-    return view != nullptr && view->contains(id);
+    return live_.current()->contains(id);
   }
 
   // ------------------------------------------------------ rebuild API
 
   // Builds a new generation over `points` and publishes it atomically:
   // the live set becomes exactly `points` (ids 0..n-1) — any pending
-  // delta is dropped and an in-flight compaction is orphaned. Blocks the
+  // delta is dropped and an in-flight compaction is orphaned — unless a
+  // rebuild that claimed a newer version publishes first. Blocks the
   // caller only; readers keep answering from the previous view
   // throughout. Returns the claimed version.
   std::uint64_t rebuild(std::span<const geo::Point<D>> points) {
@@ -422,19 +420,15 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
 
   // ------------------------------------------------------ observation
 
-  SnapshotPtr current_snapshot() const { return store_.current(); }
+  // The published base generation and its version. The version moves
+  // only with rebuilds (a compaction keeps its base's version).
+  SnapshotPtr current_snapshot() const { return live_.current()->base; }
   ViewPtr live_view() const { return live_.current(); }
-  std::uint64_t version() const { return store_.version(); }
+  std::uint64_t version() const { return current_snapshot()->version; }
   // Strictly monotone live-view publication counter: bumps on every
   // update, seal, compaction install, rebuild, and bootstrap.
-  std::uint64_t live_seq() const {
-    ViewPtr view = live_.current();
-    return view != nullptr ? view->seq : 0;
-  }
-  std::size_t live_count() const {
-    ViewPtr view = live_.current();
-    return view != nullptr ? view->live_count() : 0;
-  }
+  std::uint64_t live_seq() const { return live_.current()->seq; }
+  std::size_t live_count() const { return live_.current()->live_count(); }
   ServiceStatsSnapshot stats() const { return stats_.snapshot(); }
   const BrokerConfig& config() const { return cfg_; }
   // The adaptive controller's current operating point (== the config
@@ -471,26 +465,30 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
       std::span<const std::uint32_t> external_ids = {}) {
     metrics::TraceSpan span(cfg_.trace, "rebuild", "service");
     ServiceStats::add(stats_.rebuilds, 1);
-    SnapshotPtr snap = build_generation(
-        points, std::vector<std::uint32_t>(external_ids.begin(),
-                                           external_ids.end()));
-    const std::uint64_t version = snap->version;
-    store_.publish(snap, &stats_);
-    // Monotone on both sides: if a newer rebuild already installed its
-    // view, this one is discarded there too.
-    live_.install_rebuilt(std::move(snap));
+    const std::uint64_t version = live_.claim_version();
+    count_publication(live_.install(build_generation(
+        version, points, std::vector<std::uint32_t>(external_ids.begin(),
+                                                    external_ids.end()))));
     return version;
   }
 
-  // The one way a generation is made (rebuild and compaction): claims
-  // the next version, then builds over `points` named by `ids`, with the
-  // index seed perturbed by the version so generations decorrelate. An
+  // A rebuild or cold start either publishes or loses to a rebuild that
+  // claimed a newer version.
+  void count_publication(bool published) {
+    ServiceStats::add(published ? stats_.snapshots_published
+                                : stats_.snapshots_discarded,
+                      1);
+  }
+
+  // The one way a generation is made (rebuild and compaction): builds
+  // generation `version` over `points` named by `ids`, with the index
+  // seed perturbed by the version so generations decorrelate. An
   // identity id map (ids == positions, or no ids at all) collapses to
   // the implicit convention; no points make the empty generation.
-  SnapshotPtr build_generation(std::span<const geo::Point<D>> points,
+  SnapshotPtr build_generation(std::uint64_t version,
+                               std::span<const geo::Point<D>> points,
                                std::vector<std::uint32_t> ids) {
-    const std::uint64_t version = store_.claim_version();
-    if (points.empty()) return SnapshotStore<D>::make_empty(version);
+    if (points.empty()) return Snapshot::make_empty(version);
     core::SeparatorIndexConfig icfg = cfg_.index;
     icfg.seed += version;
     bool identity = true;
@@ -500,15 +498,15 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     if (!identity)
       ext = std::make_shared<const std::vector<std::uint32_t>>(
           std::move(ids));
-    return SnapshotStore<D>::build(points, icfg, pool_, version,
-                                   cfg_.trace, std::move(ext));
+    return Snapshot::build(points, icfg, pool_, version, cfg_.trace,
+                           std::move(ext));
   }
 
   // Writes `view` — its base plus its flattened delta — with the
   // sharding fields already set in `sidecar` (none for a plain save).
   void save_view(const std::string& path, const LiveView<D>& view,
                  io::SnapshotSidecar<D> sidecar) {
-    const FlatDelta<D> flat = flatten_delta(view);
+    const io::LoadedDelta<D> flat = flatten_delta(view);
     if (view.base->external_ids != nullptr)
       sidecar.external_ids = *view.base->external_ids;
     sidecar.delta_ids = flat.ids;
@@ -534,7 +532,8 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // ----------------------------------------------------- compaction
   // See delta_tier.hpp for the seal/install protocol. The build runs
   // without any broker lock; only the final install takes the live
-  // store's mutex for one publication.
+  // store's mutex for one publication. A compaction does not change the
+  // live set, so its generation keeps the base's version.
 
   void maybe_compact(std::size_t delta_pending)
       SEPDC_EXCLUDES(rebuild_mu_) {
@@ -568,7 +567,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     SnapshotPtr next;
     try {
       auto [ids, pts] = merge_live_points(job);
-      next = build_generation(pts, std::move(ids));
+      next = build_generation(job.base->version, pts, std::move(ids));
     } catch (...) {
       // Fold the sealed updates back under the active ones: nothing is
       // lost, and a later trigger retries the compaction.
@@ -576,8 +575,8 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
       ServiceStats::add(stats_.compactions_abandoned, 1);
       throw;
     }
-    if (live_.finish_compaction(job, next)) {
-      store_.publish(std::move(next), &stats_);
+    if (live_.finish_compaction(job, std::move(next))) {
+      ServiceStats::add(stats_.snapshots_published, 1);
       ServiceStats::add(stats_.compactions, 1);
       stats_.compaction_build.record_seconds(timer.seconds());
     } else {
@@ -755,10 +754,11 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // ------------------------------------------------- answering queries
 
   // Translate a client (external) exclude id into the base index's
-  // internal id space; absent ids come back as kNoId == kReservedId
-  // (the index's kNoExclude), so the base simply has nothing to skip.
+  // internal id space; absent ids come back as kReservedId, which is the
+  // index's kNoExclude, so the base simply has nothing to skip.
   static std::uint32_t base_exclude(const Snapshot& base,
                                     std::uint32_t ext) {
+    static_assert(kReservedId == core::SeparatorIndex<D>::kNoExclude);
     return ext == kReservedId ? kReservedId : base.internal_id(ext);
   }
 
@@ -1130,10 +1130,8 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
 
   const BrokerConfig cfg_;
   par::ThreadPool& pool_;
-  SnapshotStore<D> store_;
-  // The live (base, sealed, active) view queries answer from. store_
-  // remains the version authority (compactions and rebuilds publish to
-  // both; both sides are monotone, so they can never disagree on order).
+  // The live (base, sealed, active) view queries answer from: the
+  // broker's only published state and its version authority.
   LiveStore<D> live_;
   ServiceStats stats_;
 
@@ -1182,10 +1180,9 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
       "joined in stop() after stopping_ is published under mu_");
 
   // rebuild_mu_ guards only the Waitable handles of in-flight async
-  // rebuilds and background compactions; the snapshot handoff itself is
-  // lock-free (SnapshotStore's CAS publishes outside any lock — see
-  // snapshot.hpp) and the live-view handoff takes only the LiveStore's
-  // own mutex. mu_ and rebuild_mu_ are never nested.
+  // rebuilds and background compactions; every generation handoff takes
+  // only the LiveStore's own mutex (builds run outside any lock). mu_
+  // and rebuild_mu_ are never nested.
   std::atomic<std::size_t> rebuilds_in_flight_{0};
   std::atomic<std::size_t> compactions_in_flight_{0};
   Mutex rebuild_mu_;

@@ -47,8 +47,8 @@
 //                   count == flushes, sum == batched (sums are exact,
 //                   so this reconciles the histogram against the
 //                   outcome counters with no bucket error).
-//   index_load    — per snapshot bootstrap: whole load_snapshot ->
-//                   publish duration (ns); count == snapshot_loads.
+//   index_load    — per snapshot load: whole IndexSnapshot::load
+//                   duration (ns); count == snapshot_loads.
 //   update_apply  — per insert/remove: apply -> view publication (ns);
 //                   count == updates_submitted.
 //   compaction_build — per *installed* compaction: seal -> publish (ns);
@@ -57,6 +57,12 @@
 //   knn_submitted + radius_submitted == submitted,
 //   knn_answered == knn_submitted, radius_answered == radius_submitted,
 //   updates_submitted == inserts + removes.
+// Publication (also checked by violations()): every rebuild, installed
+// compaction and snapshot load makes one generation, which the live
+// store either publishes or discards (a rebuild that lost to one that
+// claimed a newer version):
+//   snapshots_published + snapshots_discarded
+//       == rebuilds + compactions + snapshot_loads.
 #pragma once
 
 #include <algorithm>
@@ -95,9 +101,9 @@
   X(max_flush_queries, kMax)  /* largest micro-batch seen */              \
   X(rebuilds, kSum)           /* rebuilds started */                      \
   X(snapshots_published, kSum)  /* generations that won publication */    \
-  X(snapshots_discarded, kSum)  /* stale builds beaten by a newer one */  \
+  X(snapshots_discarded, kSum)  /* rebuilds beaten by a newer rebuild */  \
   X(snapshot_saves, kSum)     /* generations serialized to disk */        \
-  X(snapshot_loads, kSum)     /* generations bootstrapped from disk */    \
+  X(snapshot_loads, kSum)     /* generations loaded from disk */          \
   X(knn_submitted, kSum)      /* k-NN queries accepted */                 \
   X(radius_submitted, kSum)   /* radius queries accepted */               \
   X(knn_answered, kSum)       /* k-NN queries answered */                 \
@@ -132,7 +138,7 @@
   X(punt_latency)       /* ns per punted query */    \
   X(fast_lane_latency)  /* ns per fast-lane query */ \
   X(flush_size)         /* queries per flush */      \
-  X(index_load)         /* ns per snapshot bootstrap */ \
+  X(index_load)         /* ns per snapshot load */   \
   X(update_apply)       /* ns per insert/remove */   \
   X(compaction_build)   /* ns per compaction */
 
@@ -197,6 +203,8 @@ struct ServiceStatsSnapshot {
         SEPDC_INVARIANT(index_load.count(), snapshot_loads),
         SEPDC_INVARIANT(update_apply.count(), updates_submitted),
         SEPDC_INVARIANT(compaction_build.count(), compactions),
+        SEPDC_INVARIANT(snapshots_published + snapshots_discarded,
+                        rebuilds + compactions + snapshot_loads),
     };
 #undef SEPDC_INVARIANT
     std::vector<std::string> failed;

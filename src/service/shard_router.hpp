@@ -5,7 +5,7 @@
 // balls — so the same separators that drive the index recursion make a
 // natural *shard function*: cut the point set into S regions down the
 // top of a PartitionForest, run one completely independent QueryBroker
-// (snapshot store + delta tier + flusher) per region, and fan a query
+// (live store with its delta tier + flusher) per region, and fan a query
 // out beyond its home shard only when its ball crosses a separator
 // surface. Boundary traffic is the measured `boundary_fanout` fraction
 // in ServiceStats; everything else runs shared-nothing and scales with
@@ -209,8 +209,8 @@ class ShardFunction {
 };
 
 // Per-router configuration: the desired shard count plus the broker
-// config every shard runs with (each shard gets its own flusher thread,
-// snapshot store, and delta tier; they share only the thread pool).
+// config every shard runs with (each shard gets its own flusher thread
+// and live store with its delta tier; they share only the thread pool).
 struct ShardRouterConfig {
   std::uint32_t shards = 1;
   BrokerConfig broker;

@@ -2,7 +2,7 @@
 //
 // These wrap the attributes documented in
 // https://clang.llvm.org/docs/ThreadSafetyAnalysis.html so the lock
-// protocol of the concurrent pieces (QueryBroker, SnapshotStore,
+// protocol of the concurrent pieces (QueryBroker, LiveStore,
 // ThreadPool, RunContext) is machine-checked at compile time under
 // `clang++ -Wthread-safety` — for every interleaving, not just the ones
 // a sanitizer happens to execute. On compilers without the attributes

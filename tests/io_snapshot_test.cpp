@@ -11,8 +11,9 @@
 //
 // Corruption contract: a damaged file (truncation, foreign magic,
 // flipped byte in a checksummed section, wrong dimension, missing file,
-// a retired format version) throws a typed io::SnapshotIoError with the matching code, and a
-// store that was asked to bootstrap from it publishes nothing.
+// a retired format version) throws a typed io::SnapshotIoError with the
+// matching code, IndexSnapshot::load counts no load, and a broker
+// cold-started from it throws instead of serving.
 #include "io/snapshot_file.hpp"
 
 #include <gtest/gtest.h>
@@ -40,7 +41,7 @@ namespace sepdc::io {
 namespace {
 
 using Pt = geo::Point<2>;
-using service::SnapshotStore;
+using Snapshot = service::IndexSnapshot<2>;
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
@@ -52,12 +53,12 @@ std::vector<Pt> make_points(workload::Kind kind, std::size_t n,
   return workload::generate<2>(kind, n, rng);
 }
 
-typename SnapshotStore<2>::Ptr build_snapshot(
-    std::span<const Pt> points, par::ThreadPool& pool,
-    std::uint64_t version = 1) {
+Snapshot::Ptr build_snapshot(std::span<const Pt> points,
+                             par::ThreadPool& pool,
+                             std::uint64_t version = 1) {
   core::SeparatorIndexConfig cfg;
   cfg.leaf_size = 16;
-  return SnapshotStore<2>::build(points, cfg, pool, version);
+  return Snapshot::build(points, cfg, pool, version);
 }
 
 template <class T>
@@ -282,7 +283,7 @@ TEST(SnapshotBroker, PendingUpdatesSurviveColdStart) {
 
 // Serializes a LiveView exactly the way QueryBroker::save_snapshot does.
 void save_view(const service::LiveView<2>& v, const std::string& path) {
-  service::FlatDelta<2> flat = service::flatten_delta(v);
+  LoadedDelta<2> flat = service::flatten_delta(v);
   SnapshotSidecar<2> sidecar;
   if (v.base->external_ids != nullptr)
     sidecar.external_ids = *v.base->external_ids;
@@ -308,7 +309,7 @@ TEST(SnapshotDelta, MidCompactionSaveRoundTripsByteIdentically) {
   auto base = build_snapshot(points, pool);
 
   service::LiveStore<2> live;
-  live.reset(base);
+  ASSERT_TRUE(live.install(base));
   // Updates before the seal...
   live.remove(3);
   live.remove(17);
@@ -329,19 +330,11 @@ TEST(SnapshotDelta, MidCompactionSaveRoundTripsByteIdentically) {
   const std::string p1 = temp_path("delta_mid_compaction_1.sepdc");
   save_view(*view, p1);
 
-  auto loaded = load_snapshot<2>(p1);
-  EXPECT_EQ(loaded.delta.ids.size(), loaded.delta.points.size());
-  auto snap2 = std::make_shared<service::IndexSnapshot<2>>();
-  snap2->version = loaded.saved_version;
-  snap2->index = loaded.index;
-  snap2->point_count = loaded.point_count;
-  if (!loaded.external_ids.empty())
-    snap2->external_ids =
-        std::make_shared<const std::vector<std::uint32_t>>(
-            loaded.external_ids);
+  LoadedDelta<2> delta;
+  auto snap2 = Snapshot::load(p1, base->version, delta);
+  EXPECT_EQ(delta.ids.size(), delta.points.size());
   service::LiveStore<2> live2;
-  live2.reset_with_delta(snap2, loaded.delta.ids, loaded.delta.points,
-                         loaded.delta.tombstones);
+  ASSERT_TRUE(live2.install(snap2, delta));
   EXPECT_EQ(live2.current()->live_count(), view->live_count());
 
   const std::string p2 = temp_path("delta_mid_compaction_2.sepdc");
@@ -385,7 +378,7 @@ TEST(SnapshotFile, EqualStateSavesByteIdenticalFiles) {
 }
 
 // Saves land via tmp-file + atomic rename, so a load racing a save (the
-// shape of a bootstrap racing a concurrent compaction's save) sees the
+// shape of a cold start racing a concurrent compaction's save) sees the
 // old file or the new file — a complete, internally consistent
 // generation either way, never a torn mix.
 TEST(SnapshotDelta, LoadRacingSaveSeesOldOrNewGenerationNeverTorn) {
@@ -427,6 +420,28 @@ TEST(SnapshotDelta, LoadRacingSaveSeesOldOrNewGenerationNeverTorn) {
 
 // ---------------------------------------------------------- corruption
 
+// The load must throw the expected typed error, both from the io loader
+// and from IndexSnapshot::load (which then counts no load), and a broker
+// cold-started from the file must throw instead of serving.
+void expect_rejected(const std::string& path, par::ThreadPool& pool,
+                     SnapshotError expected) {
+  try {
+    (void)load_snapshot<2>(path);
+    FAIL() << "load_snapshot did not throw";
+  } catch (const SnapshotIoError& e) {
+    EXPECT_EQ(e.code(), expected) << e.what();
+  }
+  service::ServiceStats stats;
+  LoadedDelta<2> delta;
+  EXPECT_THROW((void)Snapshot::load(path, 1, delta, &stats),
+               SnapshotIoError);
+  EXPECT_EQ(stats.snapshot_loads.load(), 0u);
+  EXPECT_EQ(stats.index_load.snapshot().count(), 0u);
+  EXPECT_THROW(service::QueryBroker<2> cold(path, service::BrokerConfig{},
+                                            pool),
+               SnapshotIoError);
+}
+
 class SnapshotCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -437,26 +452,13 @@ class SnapshotCorruption : public ::testing::Test {
     save_snapshot<2>(path_, *built_->index, built_->version);
   }
 
-  // The load must throw the expected typed error, and a store asked to
-  // bootstrap from the damaged file must keep serving what it served
-  // before (here: nothing).
   void expect_load_fails(SnapshotError expected) {
-    try {
-      (void)load_snapshot<2>(path_);
-      FAIL() << "load_snapshot did not throw";
-    } catch (const SnapshotIoError& e) {
-      EXPECT_EQ(e.code(), expected) << e.what();
-    }
-    SnapshotStore<2> store;
-    service::ServiceStats stats;
-    EXPECT_THROW(store.bootstrap_from(path_, &stats), SnapshotIoError);
-    EXPECT_EQ(store.current(), nullptr) << "corrupt load was published";
-    EXPECT_EQ(stats.snapshot_loads.load(), 0u);
+    expect_rejected(path_, *pool_, expected);
   }
 
   std::unique_ptr<par::ThreadPool> pool_;
   std::vector<Pt> points_;
-  typename SnapshotStore<2>::Ptr built_;
+  Snapshot::Ptr built_;
   std::string path_;
 };
 
@@ -519,10 +521,8 @@ TEST_F(SnapshotCorruption, WrongDimension) {
 
 // A file stamped with the previous format version (v2, which still
 // carried the kd-tree sections) is refused with kBadVersion before any
-// section is read, and a bootstrap from it leaves the store's current
-// generation — and its version counter — untouched. The stamp is
-// rewritten in place with a valid header checksum, so the version check
-// is the only rung that can fire.
+// section is read. The stamp is rewritten in place with a valid header
+// checksum, so the version check is the only rung that can fire.
 TEST_F(SnapshotCorruption, PreviousFormatVersionRejected) {
   static_assert(kSnapshotFormatVersion == 3);
   FileHeader hdr{};
@@ -541,27 +541,6 @@ TEST_F(SnapshotCorruption, PreviousFormatVersionRejected) {
     f.write(reinterpret_cast<const char*>(&hdr), sizeof(hdr));
   }
   expect_load_fails(SnapshotError::kBadVersion);
-
-  SnapshotStore<2> store;
-  store.publish(built_);
-  service::ServiceStats stats;
-  EXPECT_THROW(store.bootstrap_from(path_, &stats), SnapshotIoError);
-  ASSERT_NE(store.current(), nullptr);
-  EXPECT_EQ(store.current(), built_);
-  EXPECT_EQ(store.version(), built_->version);
-  EXPECT_EQ(stats.snapshot_loads.load(), 0u);
-  EXPECT_EQ(stats.snapshots_published.load(), 0u);
-}
-
-// A failed bootstrap on a store that already serves a generation keeps
-// that generation — never downgrades, never nulls.
-TEST_F(SnapshotCorruption, FailedBootstrapKeepsCurrentGeneration) {
-  SnapshotStore<2> store;
-  store.publish(built_);
-  flip_byte(path_, 0);
-  EXPECT_THROW(store.bootstrap_from(path_), SnapshotIoError);
-  ASSERT_NE(store.current(), nullptr);
-  EXPECT_EQ(store.current()->version, built_->version);
 }
 
 // ------------------------------------------------- delta-section corruption
@@ -582,8 +561,7 @@ std::uint64_t section_payload_offset(const std::string& path,
 }
 
 // Corruption in the v2 delta sections: a damaged pending delta must
-// surface as the matching typed SnapshotError, and a store asked to
-// bootstrap from it must keep its current generation untouched.
+// surface as the matching typed SnapshotError.
 class DeltaCorruption : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -604,30 +582,13 @@ class DeltaCorruption : public ::testing::Test {
     save_snapshot<2>(path_, *built_->index, built_->version, sidecar);
   }
 
-  // The load must throw the expected typed error; a store already
-  // serving `built_` must still serve exactly `built_` afterwards, with
-  // no load counted.
   void expect_load_fails(SnapshotError expected) {
-    try {
-      (void)load_snapshot<2>(path_);
-      FAIL() << "load_snapshot did not throw";
-    } catch (const SnapshotIoError& e) {
-      EXPECT_EQ(e.code(), expected) << e.what();
-    }
-    SnapshotStore<2> store;
-    store.publish(built_);
-    service::ServiceStats stats;
-    EXPECT_THROW(store.bootstrap_from(path_, &stats), SnapshotIoError);
-    ASSERT_NE(store.current(), nullptr);
-    EXPECT_EQ(store.current()->version, built_->version)
-        << "failed delta load disturbed the published generation";
-    EXPECT_EQ(stats.snapshot_loads.load(), 0u);
-    EXPECT_EQ(stats.snapshots_published.load(), 0u);  // nothing new
+    expect_rejected(path_, *pool_, expected);
   }
 
   std::unique_ptr<par::ThreadPool> pool_;
   std::vector<Pt> points_;
-  typename SnapshotStore<2>::Ptr built_;
+  Snapshot::Ptr built_;
   std::string path_;
   std::vector<std::uint32_t> delta_ids_;
   std::vector<Pt> delta_points_;

@@ -166,23 +166,22 @@ TEST(ServiceConcurrency, ReadersSeeExactAnswersUnderContinuousRebuild) {
   EXPECT_EQ(s.flush_size.sum(), s.batched);
 }
 
-// Torn-read hunt on the snapshot store itself: hammer publish/current
-// from many threads; every snapshot a reader obtains must be internally
-// consistent (version matches the generation's recorded point count).
-TEST(ServiceConcurrency, SnapshotStorePublishIsAtomicAndMonotone) {
+// Torn-read hunt on generation publication: two writers rebuild
+// generations of distinct sizes while readers load the live view. Size
+// identifies the generation, so every view a reader obtains must agree
+// with itself (index size == point_count == live_count()), and base
+// versions must never go backwards.
+TEST(ServiceConcurrency, RebuildPublishIsAtomicAndMonotone) {
   Rng rng(2200);
   auto& pool = par::ThreadPool::global();
-  core::SeparatorIndexConfig icfg;
-  icfg.seed = rng.next();
+  BrokerConfig cfg;
+  cfg.index.seed = rng.next();
 
-  // Generations of distinct sizes: size identifies the generation, so a
-  // mixed-up snapshot is detectable.
   std::vector<std::vector<Pt>> generations;
   for (std::size_t g = 0; g < 6; ++g)
     generations.push_back(workload::uniform_cube<2>(200 + 50 * g, rng));
 
-  SnapshotStore<2> store;
-  store.rebuild(std::span<const Pt>(generations[0]), icfg, pool);
+  QueryBroker<2> broker(std::span<const Pt>(generations[0]), cfg, pool);
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
@@ -192,13 +191,14 @@ TEST(ServiceConcurrency, SnapshotStorePublishIsAtomicAndMonotone) {
     readers.emplace_back([&] {
       std::uint64_t last = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        auto snap = store.current();
-        if (!snap || !snap->index ||
-            snap->index->size() != snap->point_count) {
+        auto view = broker.live_view();
+        const IndexSnapshot<2>& base = *view->base;
+        if (!base.index || base.index->size() != base.point_count ||
+            view->live_count() != base.point_count) {
           failures.fetch_add(1);
         }
-        if (snap->version < last) failures.fetch_add(1000);
-        last = snap->version;
+        if (base.version < last) failures.fetch_add(1000);
+        last = base.version;
       }
     });
   }
@@ -209,9 +209,7 @@ TEST(ServiceConcurrency, SnapshotStorePublishIsAtomicAndMonotone) {
       Rng wrng(40 + static_cast<std::uint64_t>(w));
       for (int r = 0; r < 8; ++r) {
         const auto& pts = generations[wrng.below(generations.size())];
-        core::SeparatorIndexConfig c = icfg;
-        c.seed = wrng.next();
-        store.rebuild(std::span<const Pt>(pts), c, pool);
+        broker.rebuild(std::span<const Pt>(pts));
       }
     });
   }
@@ -220,7 +218,7 @@ TEST(ServiceConcurrency, SnapshotStorePublishIsAtomicAndMonotone) {
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(store.version(), 1u + 2u * 8u);
+  EXPECT_EQ(broker.version(), 1u + 2u * 8u);
 }
 
 }  // namespace

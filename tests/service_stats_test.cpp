@@ -169,7 +169,7 @@ TEST(ServiceStats, FlushTriggerTaxonomyReconciles) {
 
 // A snapshot whose accounting reconciles: 10 queries (6 k-NN, 4
 // radius; 5 batched in 2 flushes, 3 punted, 2 fast-lane), 3 shed, 5
-// updates, one compaction, one bootstrap.
+// updates, one compaction, one snapshot load, both published.
 sepdc::service::ServiceStatsSnapshot reconciled_snapshot() {
   ServiceStats st;
   ServiceStats::add(st.submitted, 10);
@@ -191,6 +191,7 @@ sepdc::service::ServiceStatsSnapshot reconciled_snapshot() {
   ServiceStats::add(st.removes, 2);
   ServiceStats::add(st.compactions, 1);
   ServiceStats::add(st.snapshot_loads, 1);
+  ServiceStats::add(st.snapshots_published, 2);
   st.queue_wait.record(1000, 5);
   st.punt_latency.record(1000, 3);
   st.fast_lane_latency.record(1000, 2);
@@ -260,6 +261,9 @@ TEST(ServiceStats, ViolationsNameEachBrokenInvariant) {
        [](Snap& s) { s.update_apply = histogram_of({1}); }},
       {"compaction_build.count() == compactions",
        [](Snap& s) { s.compaction_build = histogram_of({1, 1}); }},
+      {"snapshots_published + snapshots_discarded == "
+       "rebuilds + compactions + snapshot_loads",
+       [](Snap& s) { ++s.rebuilds; }},
   };
   for (const Case& c : cases) {
     Snap s = reconciled_snapshot();

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -368,6 +369,39 @@ TEST(ServiceUpdateConcurrency, RebuildsOrphanCompactionsCoherently) {
   EXPECT_EQ(s.updates_submitted, s.inserts + s.removes);
   EXPECT_EQ(s.compaction_build.count(), s.compactions);
   EXPECT_EQ(s.batched + s.punted, s.submitted);
+}
+
+// A compaction does not change the live set, so it keeps its base's
+// version and can never outrank a rebuild: a compaction that seals and
+// installs while a slow rebuild is still building must not make that
+// rebuild look stale. The rebuild must win, leaving exactly its points.
+TEST(ServiceUpdateConcurrency, CompactionNeverOutranksARebuild) {
+  Rng rng(6400);
+  const std::vector<Pt> small = workload::uniform_cube<2>(200, rng);
+  const std::vector<Pt> large = workload::uniform_cube<2>(400000, rng);
+  BrokerConfig cfg;
+  cfg.delta_compaction_threshold = 0;  // compact() only
+  auto& pool = par::ThreadPool::global();
+  QueryBroker<2> broker(std::span<const Pt>(small), cfg, pool);
+
+  std::thread rebuilder([&] { broker.rebuild(std::span<const Pt>(large)); });
+  // The rebuild counts itself and claims its version right away; its
+  // build then runs far longer than the 201-point compaction below.
+  while (broker.stats().rebuilds < 2) std::this_thread::yield();
+  constexpr std::uint32_t kFresh = 1000000;  // outside both id ranges
+  broker.insert(kFresh, Pt{{0.5, 0.5}});
+  const bool compacted = broker.compact();
+  const bool raced = compacted && broker.live_count() == small.size() + 1;
+  rebuilder.join();
+  if (!raced) GTEST_SKIP() << "the rebuild finished before the compaction";
+
+  EXPECT_EQ(broker.live_count(), large.size());
+  EXPECT_FALSE(broker.contains(kFresh));
+  EXPECT_EQ(broker.version(), 2u);
+  auto s = broker.stats();
+  EXPECT_EQ(s.compactions, 1u);
+  EXPECT_EQ(s.snapshots_discarded, 0u);
+  EXPECT_EQ(s.violations(), std::vector<std::string>{});
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ Rules (each with a stable id used in messages and fixture names):
                   the lock protocol. Applies to src/.
 
   stray-atomic    std::atomic belongs to audited ownership sites
-                  (ServiceStats, RunContext, SnapshotStore, ThreadPool,
+                  (ServiceStats, RunContext, LiveStore, ThreadPool,
                   QueryBroker, the forest/engine/query-tree counters).
                   New atomics elsewhere in src/ mean a new unreviewed
                   concurrency protocol: add the file to the allowlist
@@ -69,7 +69,6 @@ ATOMIC_ALLOWLIST = {
     "src/support/metrics.hpp",
     "src/support/trace.hpp",
     "src/service/service_stats.hpp",
-    "src/service/snapshot.hpp",
     "src/service/query_broker.hpp",
     "src/service/delta_tier.hpp",
     "src/service/shard_router.hpp",

@@ -123,7 +123,6 @@ SELF_SYNC_TYPES = {
     "Histogram",       # support/metrics.hpp — relaxed-atomic buckets
     "TraceRecorder",   # support/trace.hpp — own mutex + thread-local logs
     "ServiceStats",    # service/service_stats.hpp — relaxed counters
-    "SnapshotStore",   # service/snapshot.hpp — lock-free CAS slot
     "LiveStore",       # service/delta_tier.hpp — own mutex + atomic view
     "ThreadPool",      # parallel/thread_pool.hpp — own mutex/condvars
 }

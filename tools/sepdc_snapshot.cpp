@@ -128,7 +128,7 @@ int run_verify(const std::string& path,
   // Fresh reference build in this binary (this kernel variant), plus an
   // independent kd-tree oracle for the k-NN rows.
   auto ref =
-      sepdc::service::SnapshotStore<kDims>::build(points, cfg, pool, 1);
+      sepdc::service::IndexSnapshot<kDims>::build(points, cfg, pool, 1);
   const sepdc::knn::KdTree<kDims> oracle(points);
 
   auto queries = make_queries(points, query_count, seed);
@@ -196,7 +196,7 @@ int main(int argc, char** argv) {
     sepdc::par::ThreadPool pool;
     if (mode == "save") {
       auto snap =
-          sepdc::service::SnapshotStore<kDims>::build(points, cfg, pool, 1);
+          sepdc::service::IndexSnapshot<kDims>::build(points, cfg, pool, 1);
       sepdc::io::save_snapshot<kDims>(path, *snap->index, snap->version);
       std::printf("saved %zu points to '%s'\n", points.size(),
                   path.c_str());
