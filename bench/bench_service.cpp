@@ -819,13 +819,13 @@ SloSweepResult run_slo_cell(const CellParams& p, par::ThreadPool& pool,
 
 // --- sharded: scale past one broker with separator-based sharding ---
 //
-// The ShardRouter acceptance number (docs/sharding.md): S shared-nothing
-// brokers behind the separator-sphere shard function must scale aggregate
-// throughput near-linearly — target >= 3x at 4 shards vs 1 — because the
-// sphere-separator intersection bound keeps the fraction of queries that
-// must visit more than their home shard (boundary_fanout) a vanishing
-// fraction of traffic. Same client loop as run_broker, same bulk
-// requests, so S=1 isolates the router's own overhead.
+// S shared-nothing brokers behind the separator-sphere shard function.
+// The sphere-separator intersection bound keeps the fraction of queries
+// that must visit more than their home shard (boundary_fanout) a
+// vanishing fraction of traffic. On one host the shards share its cores,
+// so the target (docs/sharding.md, "Scaling expectations") is the
+// router's own overhead, not a throughput multiple. Same client loop as
+// run_broker, same bulk requests, so S=1 isolates that overhead.
 
 struct ShardedResult {
   unsigned shards = 0;
@@ -1172,8 +1172,7 @@ int main(int argc, char** argv) {
       }
     }
     std::printf(
-        "\nsharded, %u clients over S shared-nothing shards "
-        "(target: >= 3x aggregate throughput at S=4 vs S=1):\n",
+        "\nsharded, %u clients over S shared-nothing shards:\n",
         top_clients);
     for (const auto& [workload, c] : sharded_cells)
       std::printf(

@@ -146,7 +146,13 @@ void ThreadPool::run_task(Task task) {
   task_run_.record(run_ns);
   if (outermost) busy_ns_.fetch_add(run_ns, std::memory_order_relaxed);
   tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-  task.group->pending_.fetch_sub(1, std::memory_order_acq_rel);
+  if (task.group->pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // The group drained. wait_for reads pending_ and goes to sleep under
+    // mutex_, so passing through mutex_ here orders this notify after
+    // that sleep began (or the read after the decrement): the waiter
+    // cannot miss the wakeup and sleep out its whole timeout.
+    LockGuard lock(mutex_);
+  }
   task_done_.notify_all();
 }
 

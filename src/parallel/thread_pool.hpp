@@ -153,7 +153,7 @@ class ThreadPool {
   void wait_for(TaskGroup& group) SEPDC_EXCLUDES(mutex_);
   // Runs one dequeued task: records wait/run latency, settles the
   // group's pending count, wakes helping waiters.
-  void run_task(Task task);
+  void run_task(Task task) SEPDC_EXCLUDES(mutex_);
 
   // Lock protocol: mutex_ guards the task queue and the shutdown flag.
   // workers_ is immutable after construction (hence readable anywhere,

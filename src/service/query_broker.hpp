@@ -7,10 +7,12 @@
 // (as in ParGeo-style batched geometry serving) one batch of b queries
 // costs far less than b independent dispatches. A dedicated flusher
 // thread drains the pending queue whenever it holds max_batch queries
-// (flush on size) or the oldest request has waited flush_interval
-// (flush on deadline). Every entry point builds one Request
-// (request.hpp) and takes one path, serve(): validate, admit or shed,
-// account, then answer on the fast lane, punt, or enqueue.
+// or a bulk-entry request (flush on size: a bulk request is already a
+// batch, so it never waits out the timer), or the oldest request has
+// waited flush_interval (flush on deadline). Every entry point builds
+// one Request (request.hpp) and takes one path, submit(): validate,
+// admit or shed, account, then answer on the fast lane, punt, or
+// enqueue; wait() then blocks until the answer is ready.
 //
 // Index updates never block readers: rebuilds construct a complete
 // immutable snapshot off to the side and publish it through the live
@@ -300,33 +302,73 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // ------------------------------------------------------- client API
   // knn()/bulk_knn()/radius()/bulk_radius() (QueryEntryPoints) and the
   // router's per-shard sub-requests all land here; every entry point is
-  // safe to call from any number of threads. One chain for both ops:
-  // validate -> effective budget -> admit or shed -> account -> fast
-  // lane, punt, or enqueue for the next flush.
-  Reply serve(Request<D> req) {
+  // safe to call from any number of threads.
+
+  // One submitted request's answer slot: submit() fills it inline or
+  // queues it, wait() hands the reply over. The queue points at a
+  // queued ticket until the flusher marks it done, so a ticket can be
+  // neither copied nor moved and must outlive its wait().
+  class Ticket {
+   public:
+    Ticket() = default;
+    Ticket(const Ticket&) = delete;
+    Ticket& operator=(const Ticket&) = delete;
+
+   private:
+    friend class QueryBroker;
+    Request<D> req;  // budget already resolved to the effective one
+    Reply out;
+    typename Clock::time_point deadline{};
+    typename Clock::time_point enqueued{};  // stamps queue_wait
+    bool queued = false;  // answered by a flush, not inline
+    bool done = false;    // set by the flusher under mu_
+    std::exception_ptr error{};
+  };
+
+  Reply serve(const Request<D>& req) {
+    Ticket ticket;
+    submit(req, ticket);
+    return wait(ticket);
+  }
+
+  // One chain for both ops: validate -> effective budget -> admit or
+  // shed -> account -> fast lane, punt, or enqueue for the next flush.
+  // Throws (and queues nothing) on an invalid or shed request; call
+  // wait(ticket) only after submit returned.
+  void submit(const Request<D>& request, Ticket& t) {
     // Validate before any accounting: an invalid query is rejected at
     // the door, never counted as submitted, never enqueued.
-    req.validate();
-    Reply out = req.empty_reply();
-    if (req.queries.empty()) return out;
+    request.validate();
+    t.out = request.empty_reply();
+    if (request.queries.empty()) return;
+    t.req = request;
+    Request<D>& req = t.req;
     req.budget = effective_budget(req.budget, req.cls);
     admit_or_shed(req.cls, req.budget, req.size());
     account_submitted(stats_, req);
 
     const auto now = Clock::now();
-    const auto deadline = req.budget > kNoDeadline
-                              ? now + req.budget
-                              : Clock::time_point::max();
+    t.deadline = req.budget > kNoDeadline ? now + req.budget
+                                          : Clock::time_point::max();
     if (fast_lane_open(req.cls)) {
-      answer_inline(req, out, /*fast=*/true, deadline);
+      answer_inline(req, t.out, /*fast=*/true, t.deadline);
     } else if (req.budget > kNoDeadline &&
-               should_punt(now, deadline, req.size())) {
-      answer_inline(req, out, /*fast=*/false, deadline);
+               should_punt(now, t.deadline, req.size())) {
+      answer_inline(req, t.out, /*fast=*/false, t.deadline);
     } else {
-      Pending pending{req, &out, deadline};
-      enqueue_and_wait(pending);
+      enqueue(t);
     }
-    return out;
+  }
+
+  // Blocks until the submitted request is answered; returns its reply or
+  // rethrows the error of the flush that failed it.
+  Reply wait(Ticket& t) SEPDC_EXCLUDES(mu_) {
+    if (t.queued) {
+      UniqueLock lock(mu_);
+      while (!t.done) done_cv_.wait(lock);
+    }
+    if (t.error) std::rethrow_exception(t.error);
+    return std::move(t.out);
   }
 
   // ------------------------------------------------------- update API
@@ -442,17 +484,6 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   }
 
  private:
-  // One enqueued request. Its client blocks until the flusher marks it
-  // done, so the request's spans and `out` stay alive.
-  struct Pending {
-    Request<D> req;  // budget already resolved to the effective one
-    Reply* out = nullptr;
-    typename Clock::time_point deadline{};
-    typename Clock::time_point enqueued{};  // stamps queue_wait
-    bool done = false;
-    std::exception_ptr error{};
-  };
-
   // Gives back one count of an in-flight counter (rebuilds_in_flight_
   // or compactions_in_flight_) that the caller took, on return or throw.
   struct Release {
@@ -647,13 +678,16 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // interval, as this used to, systematically over-punts under load: a
   // queue that has already aged 150 of its 200 us only makes a new
   // arrival wait 50 us more. An empty queue charges the full interval
-  // (this submission would start the clock itself).
+  // (this submission would start the clock itself). The charge stays
+  // the timer's even while a queued bulk request will flush sooner, on
+  // purpose: a punt decision does not depend on what kind of request is
+  // queued, so flushing bulk at once moves no punt.
   bool should_punt(typename Clock::time_point now,
                    typename Clock::time_point deadline,
                    std::size_t nqueries) const {
     const double est_us = backlog_us(nqueries);
     const std::chrono::nanoseconds interval = cur_flush_interval();
-    std::chrono::nanoseconds wait = interval;
+    std::chrono::nanoseconds flush_wait = interval;
     const std::int64_t oldest =
         oldest_enqueue_ns_.load(std::memory_order_relaxed);
     if (oldest != kNoOldest) {
@@ -661,10 +695,10 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               now.time_since_epoch())
               .count();
-      wait = std::chrono::nanoseconds(std::clamp<std::int64_t>(
+      flush_wait = std::chrono::nanoseconds(std::clamp<std::int64_t>(
           oldest + interval.count() - now_ns, 0, interval.count()));
     }
-    auto eta = now + wait +
+    auto eta = now + flush_wait +
                std::chrono::microseconds(
                    static_cast<std::int64_t>(est_us));
     return eta > deadline;
@@ -836,26 +870,25 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
                      deadline);
   }
 
-  // Appends the request and blocks until the flusher marks it done.
-  // Waits are explicit predicate loops so the guarded reads stay inside
-  // this function, where the analysis knows mu_ is held.
-  void enqueue_and_wait(Pending& req) SEPDC_EXCLUDES(mu_) {
-    UniqueLock lock(mu_);
+  // Appends the ticket for the next flush and wakes the flusher; wait()
+  // blocks on it.
+  void enqueue(Ticket& t) SEPDC_EXCLUDES(mu_) {
+    LockGuard lock(mu_);
     SEPDC_CHECK_MSG(!stopping_, "query submitted to a stopped broker");
-    req.enqueued = Clock::now();
+    t.queued = true;
+    t.enqueued = Clock::now();
     if (queue_.empty()) {
-      oldest_enqueue_ = req.enqueued;
+      oldest_enqueue_ = t.enqueued;
       oldest_enqueue_ns_.store(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
-              req.enqueued.time_since_epoch())
+              t.enqueued.time_since_epoch())
               .count(),
           std::memory_order_relaxed);
     }
-    queue_.push_back(&req);
-    pending_queries_.fetch_add(req.req.size(), std::memory_order_relaxed);
+    queue_.push_back(&t);
+    bulk_queued_ |= t.req.bulk_entry;
+    pending_queries_.fetch_add(t.req.size(), std::memory_order_relaxed);
     queue_cv_.notify_one();
-    while (!req.done) done_cv_.wait(lock);
-    if (req.error) std::rethrow_exception(req.error);
   }
 
   void flusher_loop() SEPDC_EXCLUDES(mu_) {
@@ -866,12 +899,15 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
         while (!stopping_ && queue_.empty()) queue_cv_.wait(lock);
         continue;
       }
+      // The size condition: max_batch queries pending, or a bulk-entry
+      // request, which is already a batch and so never waits for more.
       const std::size_t max_batch =
           cur_max_batch_.load(std::memory_order_relaxed);
-      if (pending_queries_.load(std::memory_order_relaxed) < max_batch &&
+      if (!bulk_queued_ &&
+          pending_queries_.load(std::memory_order_relaxed) < max_batch &&
           !stopping_) {
         auto flush_at = oldest_enqueue_ + cur_flush_interval();
-        while (!stopping_ &&
+        while (!stopping_ && !bulk_queued_ &&
                pending_queries_.load(std::memory_order_relaxed) <
                    max_batch) {
           if (queue_cv_.wait_until(lock, flush_at) ==
@@ -887,12 +923,14 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
       // the trigger taxonomy (flush_by_size + flush_by_deadline +
       // flush_by_stop == flushes).
       std::atomic<std::size_t>* trigger = &stats_.flush_by_deadline;
-      if (pending_queries_.load(std::memory_order_relaxed) >= max_batch)
+      if (bulk_queued_ ||
+          pending_queries_.load(std::memory_order_relaxed) >= max_batch)
         trigger = &stats_.flush_by_size;
       else if (stopping_)
         trigger = &stats_.flush_by_stop;
-      std::vector<Pending*> batch;
+      std::vector<Ticket*> batch;
       batch.swap(queue_);
+      bulk_queued_ = false;
       // Sentinel first, then the count with release: should_punt's
       // acquire load of a 0 count then also sees kNoOldest (or a newer
       // enqueue's stamp), never this flush's stale oldest stamp.
@@ -906,7 +944,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
       execute(batch);
       lock.lock();
       flush_in_flight_.store(false, std::memory_order_relaxed);
-      for (Pending* r : batch) r->done = true;
+      for (Ticket* r : batch) r->done = true;
       done_cv_.notify_all();
       maybe_retune();
     }
@@ -1013,9 +1051,10 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // Runs one micro-batch against the current snapshot. Requests are
   // grouped by (op, k | radius) in one pass and each group goes through
   // the batched index kernel in one call; per-request rows are scattered
-  // back in place. Called with mu_ released — clients are blocked on
-  // done_cv_, so every Pending and its Reply stays alive.
-  void execute(std::vector<Pending*>& batch) SEPDC_EXCLUDES(mu_) {
+  // back in place. Called with mu_ released — no ticket in the batch is
+  // done yet, so its client is still blocked in wait() (or has yet to
+  // call it) and the ticket stays alive.
+  void execute(std::vector<Ticket*>& batch) SEPDC_EXCLUDES(mu_) {
     metrics::TraceSpan flush_span(cfg_.trace, "flush", "service");
     Timer timer;
     // Queue wait is enqueue -> flush swap, recorded here (the swap
@@ -1025,7 +1064,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     // match account_answered below, which also counts them.
     auto swap_now = Clock::now();
     std::size_t batch_queries = 0;
-    for (Pending* r : batch) {
+    for (Ticket* r : batch) {
       stats_.queue_wait.record_seconds(
           std::chrono::duration<double>(swap_now - r->enqueued).count(),
           r->req.size());
@@ -1037,24 +1076,24 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     ViewPtr view = live_.current();
     std::size_t total = 0;
     try {
-      std::vector<std::vector<Pending*>> groups;
-      for (Pending* r : batch) {
+      std::vector<std::vector<Ticket*>> groups;
+      for (Ticket* r : batch) {
         auto it = std::find_if(groups.begin(), groups.end(), [&](auto& g) {
           return g.front()->req.same_group(r->req);
         });
         if (it == groups.end()) groups.push_back({r});
         else it->push_back(r);
       }
-      for (const std::vector<Pending*>& group : groups)
+      for (const std::vector<Ticket*>& group : groups)
         total += execute_group(*view, group);
     } catch (...) {
       // A failed batch fails every request in it; clients rethrow.
       auto err = std::current_exception();
-      for (Pending* r : batch)
+      for (Ticket* r : batch)
         if (!r->error) r->error = err;
     }
 
-    for (Pending* r : batch)
+    for (Ticket* r : batch)
       account_answered(r->req, stats_.batched, r->deadline);
     ServiceStats::bump_max(stats_.max_flush_queries, total);
     stats_.batch_execute.record_seconds(timer.seconds());
@@ -1066,7 +1105,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   // One group's batched kernel call, its rows merged and scattered back
   // to the requests. Returns the group's query count.
   std::size_t execute_group(const LiveView<D>& view,
-                            const std::vector<Pending*>& group) {
+                            const std::vector<Ticket*>& group) {
     const Request<D>& head = group.front()->req;
     metrics::TraceSpan span(cfg_.trace,
                             head.is_knn() ? "batch_knn" : "batch_radius",
@@ -1075,7 +1114,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     const bool plain = is_plain(view);
     std::size_t count = 0;
     bool any_exclude = false;
-    for (Pending* r : group) {
+    for (Ticket* r : group) {
       count += r->req.size();
       any_exclude |= !r->req.exclude.empty();
     }
@@ -1083,7 +1122,7 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     flat.reserve(count);
     std::vector<std::uint32_t> flat_exclude;
     if (any_exclude) flat_exclude.reserve(count);
-    for (Pending* r : group) {
+    for (Ticket* r : group) {
       flat.insert(flat.end(), r->req.queries.begin(), r->req.queries.end());
       if (!any_exclude) continue;
       for (std::size_t i = 0; i < r->req.size(); ++i)
@@ -1110,18 +1149,18 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
     // The op-specific row merge; a plain view's batched k-NN row is the
     // answer bit-for-bit.
     std::size_t row = 0;
-    for (Pending* r : group) {
+    for (Ticket* r : group) {
       const Request<D>& req = r->req;
       for (std::size_t i = 0; i < req.size(); ++i, ++row) {
         if (req.is_knn()) {
-          r->out->knn[i] =
+          r->out.knn[i] =
               plain ? std::move(knn_rows[row])
                     : merge_knn_rows(view, req.queries[i], req.k,
                                      req.exclude_at(i), knn_rows[row]);
         } else {
           finish_radius_row(view, req.queries[i], req.radius,
                             radius_rows[row], plain);
-          r->out->radius[i] = std::move(radius_rows[row]);
+          r->out.radius[i] = std::move(radius_rows[row]);
         }
       }
     }
@@ -1136,17 +1175,22 @@ class QueryBroker : public QueryEntryPoints<QueryBroker<D>, D> {
   ServiceStats stats_;
 
   // Lock protocol (machine-checked under clang -Wthread-safety):
-  //   mu_ guards the pending queue, the oldest-enqueue timestamp, and
-  //   the stop flag. The flusher swaps the queue out under mu_, then
-  //   answers the batch with mu_ *released* (execute() is EXCLUDES(mu_)),
-  //   so clients can keep enqueueing during a flush. pending_queries_ is
-  //   an atomic mirror of the queued-query count so should_punt() can
-  //   read it without taking mu_ on the client hot path.
+  //   mu_ guards the pending queue, the oldest-enqueue timestamp, the
+  //   bulk-queued flag, the stop flag, and each queued ticket's `done`.
+  //   The flusher swaps the queue out under mu_, then answers the batch
+  //   with mu_ *released* (execute() is EXCLUDES(mu_)), so clients can
+  //   keep enqueueing during a flush. Waits are explicit predicate loops
+  //   so the guarded reads stay where the analysis knows mu_ is held.
+  //   pending_queries_ is an atomic mirror of the queued-query count so
+  //   should_punt() can read it without taking mu_ on the client hot
+  //   path.
   Mutex mu_;
   CondVar queue_cv_;  // wakes the flusher
   CondVar done_cv_;   // wakes waiting clients
-  std::vector<Pending*> queue_ SEPDC_GUARDED_BY(mu_);
+  std::vector<Ticket*> queue_ SEPDC_GUARDED_BY(mu_);
   typename Clock::time_point oldest_enqueue_ SEPDC_GUARDED_BY(mu_);
+  // A bulk-entry request is queued: set on enqueue, cleared at the swap.
+  bool bulk_queued_ SEPDC_GUARDED_BY(mu_) = false;
   std::atomic<std::size_t> pending_queries_{0};
   bool stopping_ SEPDC_GUARDED_BY(mu_) = false;
 

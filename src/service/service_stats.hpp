@@ -27,9 +27,12 @@
 //   rebuilt_under — answered while a snapshot rebuild was in flight.
 // Flush-trigger taxonomy (per flush, mutually exclusive):
 //   flush_by_size + flush_by_deadline + flush_by_stop == flushes
-// (a shutdown drain whose size condition was never met counts as
+// The size condition is max_batch queries queued *or* a bulk-entry
+// request queued (a bulk request is already a batch and never waits
+// for the timer), so only single queries produce deadline flushes. A
+// shutdown drain whose size condition was never met counts as
 // flush_by_stop, not flush_by_size — the trigger the flusher actually
-// acted on, so the trigger mix is trustworthy controller input).
+// acted on, so the trigger mix is trustworthy controller input.
 //
 // Latency histograms (metrics::Histogram, lock-free log-bucket): the
 // counters say *what* happened, the histograms say *where the time
@@ -95,7 +98,7 @@
   X(class_interactive, kSum)  /* accepted queries, interactive class */   \
   X(class_bulk, kSum)         /* accepted queries, bulk class */          \
   X(flushes, kSum)            /* micro-batches executed */                \
-  X(flush_by_size, kSum)      /* flush triggered by max_batch */          \
+  X(flush_by_size, kSum)      /* max_batch reached or bulk queued */      \
   X(flush_by_deadline, kSum)  /* flush triggered by flush_interval */     \
   X(flush_by_stop, kSum)      /* shutdown drain, size condition unmet */  \
   X(max_flush_queries, kMax)  /* largest micro-batch seen */              \

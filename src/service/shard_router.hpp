@@ -41,7 +41,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -583,38 +582,60 @@ class ShardRouter : public QueryEntryPoints<ShardRouter<D>, D> {
   }
 
   // Sends each shard its group of the request's queries as one
-  // sub-request (the groups in flight concurrently) and appends every
-  // returned row to its query's row in `out`.
+  // sub-request and appends every returned row to its query's row in
+  // `out`. Every sub-request is submitted from this thread before any is
+  // waited on, so the shards' flushers answer them concurrently. Nothing
+  // parks in a pool task: a sub-request waits in its shard's queue, and
+  // this thread blocks only in wait(). If a submit throws (a shard shed
+  // its sub-request), submitting stops; the tickets already queued are
+  // owned by this frame, so each is waited for before the first error is
+  // rethrown.
   void scatter_to(const Request<D>& req, const Groups& groups,
                   Reply& out) {
     std::vector<std::uint32_t> active;
     for (std::uint32_t s = 0; s < shard_count(); ++s)
       if (!groups[s].empty()) active.push_back(s);
-    std::vector<Reply> replies(active.size());
-    scatter(active.size(), [&](std::size_t a) {
-      const std::vector<std::uint32_t>& group = groups[active[a]];
-      std::vector<Point> queries;
-      std::vector<std::uint32_t> exclude;
-      queries.reserve(group.size());
-      for (std::uint32_t i : group) {
-        queries.push_back(req.queries[i]);
-        if (!req.exclude.empty()) exclude.push_back(req.exclude[i]);
-      }
-      Request<D> sub = req;
-      sub.queries = queries;
-      sub.exclude = exclude;
-      replies[a] = shard(active[a]).serve(sub);
-    });
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::vector<std::uint32_t>& group = groups[active[a]];
-      for (std::size_t j = 0; j < group.size(); ++j) {
-        if (req.is_knn()) {
-          append_row(out.knn[group[j]], replies[a].knn[j]);
-        } else {
-          append_row(out.radius[group[j]], replies[a].radius[j]);
+    // Sized before the first submit and never resized: a queued ticket
+    // and its sub-request's spans point into these.
+    std::vector<std::vector<Point>> queries(active.size());
+    std::vector<std::vector<std::uint32_t>> exclude(active.size());
+    std::vector<typename Broker::Ticket> tickets(active.size());
+    std::exception_ptr err;
+    std::size_t submitted = 0;
+    try {
+      for (std::size_t a = 0; a < active.size(); ++a) {
+        const std::vector<std::uint32_t>& group = groups[active[a]];
+        queries[a].reserve(group.size());
+        for (std::uint32_t i : group) {
+          queries[a].push_back(req.queries[i]);
+          if (!req.exclude.empty()) exclude[a].push_back(req.exclude[i]);
         }
+        Request<D> sub = req;
+        sub.queries = queries[a];
+        sub.exclude = exclude[a];
+        shard(active[a]).submit(sub, tickets[a]);
+        submitted = a + 1;
+      }
+    } catch (...) {
+      err = std::current_exception();
+    }
+    for (std::size_t a = 0; a < submitted; ++a) {
+      try {
+        Reply reply = shard(active[a]).wait(tickets[a]);
+        if (err) continue;
+        const std::vector<std::uint32_t>& group = groups[active[a]];
+        for (std::size_t j = 0; j < group.size(); ++j) {
+          if (req.is_knn()) {
+            append_row(out.knn[group[j]], reply.knn[j]);
+          } else {
+            append_row(out.radius[group[j]], reply.radius[j]);
+          }
+        }
+      } catch (...) {
+        if (!err) err = std::current_exception();
       }
     }
+    if (err) std::rethrow_exception(err);
   }
 
   template <class Row>
@@ -627,43 +648,6 @@ class ShardRouter : public QueryEntryPoints<ShardRouter<D>, D> {
     for (std::uint32_t s = 0; s < shard_count(); ++s)
       if (brokers_[s]->contains(id)) return s;
     return ShardFunction<D>::kNoShard;
-  }
-
-  // Runs n independent sub-tasks, the first on the calling thread and
-  // the rest on dedicated joiner threads. NOT on the shared pool: a
-  // scattered sub-request parks inside the target broker until its
-  // flusher answers, and a parked task in the pool queue can be stolen
-  // by a helping wait — including a flusher helping inside a batch
-  // kernel, which then blocks on a flush only it can perform (observed
-  // as a hard deadlock on a single-core host, where every scatter task
-  // waits for a helper). Every task runs to completion before return;
-  // the first error — typically a shard's QueryError — is rethrown
-  // after the join.
-  template <class Fn>
-  void scatter(std::size_t n, Fn&& fn) {
-    if (n == 0) return;
-    if (n == 1) {
-      fn(std::size_t{0});
-      return;
-    }
-    Mutex err_mu;
-    std::exception_ptr err SEPDC_GUARDED_BY(err_mu);
-    auto run_one = [&fn, &err_mu, &err](std::size_t i) {
-      try {
-        fn(i);
-      } catch (...) {
-        LockGuard lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    };
-    std::vector<std::thread> joiners;
-    joiners.reserve(n - 1);
-    for (std::size_t i = 1; i < n; ++i)
-      joiners.emplace_back(run_one, i);
-    run_one(std::size_t{0});
-    for (std::thread& t : joiners) t.join();
-    LockGuard lock(err_mu);
-    if (err) std::rethrow_exception(err);
   }
 
   const ShardFunction<D> fn_;

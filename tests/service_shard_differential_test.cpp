@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "workload/generators.hpp"
@@ -355,6 +356,110 @@ TEST(ServiceShardRollup, AggregatedStatsCarryControllerAndHistograms) {
   EXPECT_GT(agg.batched, 0u);
   EXPECT_EQ(agg.queue_wait.count(), agg.batched);
   EXPECT_EQ(agg.violations(), std::vector<std::string>{});
+}
+
+// A shard sheds partway through a scatter: the router has already
+// queued the lower-id shard's sub-request when the higher-id shard
+// rejects its own. The call fails whole with QueryError("overload"),
+// but only after the queued sub-request was answered, and every shard's
+// books still balance. A long flush keeps shard 0's flusher busy, so
+// the router's sub-request is still queued when shard 1 sheds: a router
+// that abandoned its ticket would leave the flusher reading freed
+// memory, which the ASan job reports.
+TEST(ServiceShardScatter, ShardShedPartwayFailsWholeCall) {
+  auto& pool = par::ThreadPool::global();
+  Rng rng(7700);
+  auto points = workload::uniform_cube<2>(2000, rng);
+  ShardRouterConfig cfg = router_config(2, rng.next());
+  cfg.broker.slo.bulk_queue_backstop = 10;
+  ShardRouter<2> router(std::span<const Pt>(points), cfg, pool);
+  ASSERT_EQ(router.shard_count(), 2u);
+
+  // 3 queries homed in shard 0 (under the backstop), 20 in shard 1
+  // (over it).
+  std::vector<Pt> queries;
+  std::size_t in_low = 0, in_high = 0;
+  while (in_low < 3 || in_high < 20) {
+    const Pt q{{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)}};
+    const std::uint32_t home = router.shard_function().shard_of(q);
+    std::size_t& count = home == 0 ? in_low : in_high;
+    if (count == (home == 0 ? 3u : 20u)) continue;
+    ++count;
+    queries.push_back(q);
+  }
+  // Interactive class: the backstop prices only budget-less bulk.
+  std::thread busy([&] {
+    router.shard(0).bulk_knn(std::span<const Pt>(points).first(1000), 128,
+                             kNoDeadline, {}, SloClass::kInteractive);
+  });
+  while (router.shard_stats(0).flushes == 0) std::this_thread::yield();
+  try {
+    router.bulk_knn(std::span<const Pt>(queries), 4);
+    FAIL() << "a sub-request over the backstop did not shed";
+  } catch (const QueryError& e) {
+    EXPECT_EQ(e.field(), "overload");
+  }
+  busy.join();
+  auto s = router.stats();
+  EXPECT_EQ(s.shed, queries.size());
+  EXPECT_EQ(s.shed_bulk, queries.size());
+  EXPECT_EQ(s.submitted, 0u);
+  EXPECT_EQ(router.shard_stats(0).submitted, 1000u + 3u);
+  EXPECT_EQ(router.shard_stats(1).shed, 20u);
+  for (std::uint32_t sh = 0; sh < router.shard_count(); ++sh)
+    EXPECT_EQ(router.shard_stats(sh).violations(),
+              std::vector<std::string>{})
+        << "shard " << sh;
+
+  // The router keeps serving: a bulk call under the backstop matches
+  // brute force.
+  LiveOracle oracle;
+  for (std::size_t i = 0; i < points.size(); ++i)
+    oracle.live.emplace(static_cast<std::uint32_t>(i), points[i]);
+  std::vector<Pt> sweep(queries.begin(), queries.begin() + 8);
+  auto rows = router.bulk_knn(std::span<const Pt>(sweep), 4);
+  for (std::size_t i = 0; i < sweep.size(); ++i)
+    expect_knn_equal(rows[i], oracle.knn(sweep[i], 4),
+                     "after shed, row " + std::to_string(i));
+  EXPECT_EQ(router.stats().submitted, sweep.size());
+}
+
+// The shape of an earlier scatter deadlock: on a zero-worker pool every
+// batch kernel runs in a helping wait on a flusher thread, so a
+// sub-request parked inside a pool task would hang the router. Bulk
+// k-NN with a large k makes most queries fan out (two scatters per
+// call); bulk radius scatters once. Both equal brute force, tie order
+// included (a third of the points are duplicates).
+TEST(ServiceShardScatter, ZeroWorkerPoolServesFannedBulk) {
+  par::ThreadPool pool(1);  // zero workers
+  Rng rng(7900);
+  auto points = workload::uniform_cube<2>(1000, rng);
+  for (std::size_t i = 0; i < 500; ++i) {
+    const Pt dup = points[rng.below(1000)];
+    points.push_back(dup);
+  }
+  ShardRouter<2> router(std::span<const Pt>(points), router_config(4, 7910),
+                        pool);
+  ASSERT_EQ(router.shard_count(), 4u);
+  LiveOracle oracle;
+  for (std::size_t i = 0; i < points.size(); ++i)
+    oracle.live.emplace(static_cast<std::uint32_t>(i), points[i]);
+
+  std::vector<Pt> queries;
+  for (int i = 0; i < 64; ++i)
+    queries.push_back({{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)}});
+  for (int i = 0; i < 16; ++i) queries.push_back(points[rng.below(1500)]);
+  const std::size_t k = 96;
+  auto rows = router.bulk_knn(std::span<const Pt>(queries), k);
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    expect_knn_equal(rows[i], oracle.knn(queries[i], k),
+                     "knn row " + std::to_string(i));
+  EXPECT_GT(router.stats().fanout_queries, queries.size() / 2)
+      << "k too small to make most queries fan out";
+  auto rrows = router.bulk_radius(std::span<const Pt>(queries), 0.1);
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    expect_radius_equal(rrows[i], oracle.radius(queries[i], 0.1),
+                        "radius row " + std::to_string(i));
 }
 
 // Sharded persistence: save_current writes one file per shard plus a

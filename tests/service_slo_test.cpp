@@ -371,15 +371,13 @@ TEST(ServiceSlo, BudgetlessBulkBackstopSheds) {
   std::atomic<std::size_t> answered{0};
   {
     QueryBroker<2> broker(span, cfg, par::ThreadPool::global());
-    // Two budget-less bulk submissions of 8 park in the stalled queue
-    // (8 and 16 pending both fit under the backstop of 20); they block
-    // until the shutdown drain answers them.
-    for (int t = 0; t < 2; ++t) {
+    // 16 budget-less single queries park in the stalled queue (16
+    // pending fits under the backstop of 20); they block until the
+    // shutdown drain answers them. The backlog is built from single
+    // queries because a bulk request never waits for the timer.
+    for (std::size_t t = 0; t < 16; ++t) {
       helpers.emplace_back([&, t] {
-        auto rows =
-            broker.bulk_knn(span.subspan(8 * t, 8), k);
-        for (const auto& row : rows)
-          if (row.size() == k) answered.fetch_add(1);
+        if (broker.knn(points[t], k).size() == k) answered.fetch_add(1);
       });
     }
     while (broker.stats().submitted < 16) std::this_thread::yield();

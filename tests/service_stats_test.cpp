@@ -102,7 +102,8 @@ TEST(ServiceStats, SnapshotCarriesHistograms) {
 // Every flush is labeled by the trigger the flusher actually acted on,
 // and the three labels partition `flushes`. In particular a shutdown
 // drain whose size condition was never met counts as flush_by_stop —
-// the bug this pins is that it used to count as flush_by_size.
+// the bug this pins is that it used to count as flush_by_size — and a
+// bulk-entry request meets the size condition on its own.
 TEST(ServiceStats, FlushTriggerTaxonomyReconciles) {
   using sepdc::geo::Point;
   using sepdc::service::BrokerConfig;
@@ -164,6 +165,42 @@ TEST(ServiceStats, FlushTriggerTaxonomyReconciles) {
     EXPECT_EQ(s.flush_by_size + s.flush_by_deadline + s.flush_by_stop,
               s.flushes);
     EXPECT_EQ(s.batched, 1u);  // drained, answered exactly, not dropped
+  }
+  {
+    // A bulk request is already a batch: 3 queries against max_batch 64
+    // flush at once by size instead of waiting out a 5 s interval.
+    BrokerConfig cfg;
+    cfg.max_batch = 64;
+    cfg.flush_interval = microseconds(5'000'000);
+    cfg.index.seed = 4;
+    QueryBroker<2> broker(span, cfg, pool);
+    const auto start = std::chrono::steady_clock::now();
+    broker.bulk_knn(span.subspan(0, 3), 3);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              cfg.flush_interval / 2)
+        << "a bulk request waited for the flush timer";
+    auto s = broker.stats();
+    EXPECT_EQ(s.flushes, 1u);
+    EXPECT_EQ(s.flush_by_size, 1u);
+    EXPECT_EQ(s.flush_by_deadline, 0u);
+    EXPECT_EQ(s.flush_by_size + s.flush_by_deadline + s.flush_by_stop,
+              s.flushes);
+  }
+  {
+    // ... while a single query under the same max_batch still coalesces
+    // under the timer.
+    BrokerConfig cfg;
+    cfg.max_batch = 64;
+    cfg.flush_interval = microseconds(500);
+    cfg.index.seed = 5;
+    QueryBroker<2> broker(span, cfg, pool);
+    broker.knn(points[0], 3);
+    auto s = broker.stats();
+    EXPECT_EQ(s.flushes, 1u);
+    EXPECT_EQ(s.flush_by_size, 0u);
+    EXPECT_EQ(s.flush_by_deadline, 1u);
+    EXPECT_EQ(s.flush_by_size + s.flush_by_deadline + s.flush_by_stop,
+              s.flushes);
   }
 }
 

@@ -17,6 +17,15 @@ Rules (each with a stable id used in messages and fixture names):
                   concurrency protocol: add the file to the allowlist
                   here *in the same PR* that documents its protocol.
 
+  raw-thread      std::thread / std::jthread / std::async may appear only
+                  in src/parallel/thread_pool.{hpp,cpp} (the pool's
+                  workers) and src/service/query_broker.hpp (one flusher
+                  per broker). A thread started per call costs a create
+                  and a join on the request path, and work parked on it
+                  is invisible to the pool: fan out through the pool, or
+                  enqueue into the brokers and wait, instead. Applies to
+                  src/.
+
   raw-random      rand()/srand()/time()/clock() seed-style randomness is
                   banned everywhere; use support/rng (deterministic,
                   splittable, per-path streams). Applies to src/, tests/,
@@ -65,6 +74,12 @@ RAW_SYNC_ALLOWLIST = {
     "src/support/mutex.hpp",
 }
 
+RAW_THREAD_ALLOWLIST = {
+    "src/parallel/thread_pool.hpp",
+    "src/parallel/thread_pool.cpp",
+    "src/service/query_broker.hpp",
+}
+
 ATOMIC_ALLOWLIST = {
     "src/support/metrics.hpp",
     "src/support/trace.hpp",
@@ -107,6 +122,8 @@ RAW_SYNC_RE = re.compile(
 )
 
 ATOMIC_RE = re.compile(r"std::atomic\b|std::atomic_(?:flag|ref)\b")
+
+RAW_THREAD_RE = re.compile(r"std::(?:thread|jthread|async)\b")
 
 RAW_RANDOM_RE = re.compile(
     r"(?<![\w.>])(?:std::\s*)?(?:rand|srand|rand_r|drand48|random_shuffle"
@@ -226,6 +243,15 @@ def check_cpp_file(virtual_path: str, raw_text: str) -> list[Finding]:
             "std::atomic outside the audited ownership sites; document the "
             "protocol and extend ATOMIC_ALLOWLIST in tools/lint_sepdc.py "
             "in the same PR",
+        )
+
+    if in_src and virtual_path not in RAW_THREAD_ALLOWLIST:
+        findings += findings_for_pattern(
+            virtual_path, text, RAW_THREAD_RE, "raw-thread",
+            "raw std::thread/jthread/async outside the thread pool and the "
+            "broker's flusher; run the work on par::ThreadPool or enqueue "
+            "it into a broker and wait, instead of starting a thread per "
+            "call",
         )
 
     if in_src and not virtual_path.startswith(MMAP_ALLOWED_PREFIX):
