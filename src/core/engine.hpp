@@ -95,6 +95,15 @@ class NearestNeighborEngine {
                            static_cast<std::size_t>(pvm::ceil_log2(n_))});
   }
 
+  // Spawn pool tasks only for large subproblems: small ones run inline.
+  // This keeps the task count O(n / grain), which bounds the depth of
+  // helping-wait chains (a waiting thread executes other queued tasks,
+  // so thousands of tiny tasks could otherwise nest on one stack). The
+  // model cost is charged as parallel either way — the recursion is
+  // logically parallel; inlining is an execution-engine choice. solve(),
+  // correct() and fast_correct()'s leaf scans all spawn at this grain.
+  static constexpr std::size_t kSpawnGrain = 8192;
+
   // One strand's result: its forest slot and its subtree's model cost.
   // Diagnostics no longer ride the recursion — they go to ctx_ directly.
   struct SolveResult {
@@ -134,13 +143,6 @@ class NearestNeighborEngine {
     Rng rng = ctx_.stream(key);
     pvm::Ledger ledger;
 
-    // Spawn pool tasks only for large subproblems: small ones run inline.
-    // This keeps the task count O(n / grain), which bounds the depth of
-    // helping-wait chains (a waiting thread executes other queued tasks,
-    // so thousands of tiny tasks could otherwise nest on one stack). The
-    // model cost is charged as parallel either way — the recursion is
-    // logically parallel; inlining is an execution-engine choice.
-    constexpr std::size_t kSpawnGrain = 8192;
     // Trace only the nodes big enough to spawn: the same grain that
     // bounds the task count bounds the span count, so a trace stays a
     // few hundred readable events instead of one per recursion node.
@@ -209,23 +211,28 @@ class NearestNeighborEngine {
     node.begin = begin;
     node.end = end;
 
-    // Pack this leaf's payload as SoA blocks for the Fast-Correction
-    // merge scans. Safe without synchronization: the slot is indexed by
-    // the freshly allocated forest id (unique to this task), and a
-    // correction only marches a subtree after parallel_invoke joined the
-    // task that built it — by which point perm_[begin, end) is final.
+    auto box = geo::Aabb<D>::empty();
+    for (std::uint32_t i = begin; i < end; ++i)
+      box.expand(points_[perm_[i]]);
+
+    // Pack this leaf's payload as SoA blocks, in leaf-local Morton order,
+    // for the all-pairs scan below and the Fast-Correction merge scans.
+    // perm_ keeps its order: it sets the order of the cut balls, which
+    // the punt path's query-tree build depends on. Safe without
+    // synchronization: the slot is indexed by the freshly allocated
+    // forest id (unique to this task), and a correction only marches a
+    // subtree after parallel_invoke joined the task that built it — by
+    // which point perm_[begin, end) is final.
+    const std::vector<std::uint32_t> order = morton_order(begin, end, box);
     auto blocks = std::make_unique<knn::PointBlockStore<D>>();
     blocks->append_range(
         m,
         [&](std::size_t j) -> const geo::Point<D>& {
-          return points_[perm_[begin + j]];
+          return points_[perm_[begin + order[j]]];
         },
-        [&](std::size_t j) { return perm_[begin + j]; });
+        [&](std::size_t j) { return perm_[begin + order[j]]; });
+    const knn::PointBlockStore<D>& leaf = *blocks;
     leaf_blocks_[id] = std::move(blocks);
-
-    auto box = geo::Aabb<D>::empty();
-    for (std::uint32_t i = begin; i < end; ++i)
-      box.expand(points_[perm_[i]]);
 
     if (box.extent() == 0.0 && m > 1) {
       // All points in the range are identical: everyone's k nearest are
@@ -252,19 +259,71 @@ class NearestNeighborEngine {
     }
 
     // All-pairs base case ("m time using m processors"): depth m, work m².
-    for (std::uint32_t i = begin; i < end; ++i) {
-      std::uint32_t self = perm_[i];
+    // One kernel call gives a point its distances to the whole leaf; the
+    // blocks are offered nearest-first (its own block, then outward in
+    // Morton order), so the k-th bound tightens after a block or two and
+    // offer_block's pre-check rejects the rest. TopK keeps the k smallest
+    // (dist2, id) entries whatever the offer order, and the kernel is
+    // bit-identical to geo::distance2, so rows match the plain j-loop.
+    constexpr std::size_t kWidth = knn::PointBlockStore<D>::kWidth;
+    const std::size_t nb = leaf.block_count();
+    std::vector<double> dist2s(nb * kWidth);
+    for (std::size_t j = 0; j < m; ++j) {
+      const std::uint32_t self = perm_[begin + order[j]];
+      knn::kernels::dist2_blocks(leaf.block_coords(0), nb, D,
+                                 points_[self].coords.data(),
+                                 dist2s.data());
       knn::TopK best(k);
-      for (std::uint32_t j = begin; j < end; ++j) {
-        if (j == i) continue;
-        std::uint32_t other = perm_[j];
-        best.offer(geo::distance2(points_[self], points_[other]), other);
+      auto offer = [&](std::size_t b) {
+        best.offer_block(dist2s.data() + b * kWidth, leaf.block_ids(b),
+                         leaf.block_lanes(b), self);
+      };
+      const std::size_t home = j / kWidth;
+      offer(home);
+      for (std::size_t lo = home, hi = home + 1; lo > 0 || hi < nb;) {
+        if (hi < nb) offer(hi++);
+        if (lo > 0) offer(--lo);
       }
       write_row(self, best);
     }
     cost += pvm::Cost{static_cast<std::uint64_t>(m) * m,
                       static_cast<std::uint64_t>(m)};
     return SolveResult{id, cost};
+  }
+
+  // Positions 0..m-1 of perm_[begin, end) sorted by a leaf-local Morton
+  // key: each axis quantized to kBits bits over the leaf's bounding box
+  // (clamped to [0, 2^kBits - 1]; a flat axis quantizes to 0), bits
+  // interleaved, ties broken by position.
+  std::vector<std::uint32_t> morton_order(std::uint32_t begin,
+                                          std::uint32_t end,
+                                          const geo::Aabb<D>& box) const {
+    constexpr int kBits = std::min(10, 64 / D);  // 10 bits up to D = 6
+    constexpr double kCells = static_cast<double>(1u << kBits);
+    constexpr std::uint32_t kMax = (1u << kBits) - 1;
+    double scale[D];
+    for (int d = 0; d < D; ++d) {
+      const double ext = box.hi[d] - box.lo[d];
+      scale[d] = ext > 0.0 ? kCells / ext : 0.0;
+    }
+    const std::uint32_t m = end - begin;
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(m);
+    for (std::uint32_t j = 0; j < m; ++j) {
+      const geo::Point<D>& p = points_[perm_[begin + j]];
+      std::uint64_t key = 0;
+      for (int d = 0; d < D; ++d) {
+        const double t = (p[d] - box.lo[d]) * scale[d];
+        const std::uint64_t cell =
+            t >= kMax ? kMax : t > 0.0 ? static_cast<std::uint32_t>(t) : 0;
+        for (int bit = 0; bit < kBits; ++bit)
+          key |= ((cell >> bit) & 1u) << (bit * D + d);
+      }
+      keyed[j] = {key, j};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<std::uint32_t> order(m);
+    for (std::uint32_t j = 0; j < m; ++j) order[j] = keyed[j].second;
+    return order;
   }
 
   void write_row(std::uint32_t id, knn::TopK& best) {
@@ -379,20 +438,21 @@ class NearestNeighborEngine {
     // The two sides touch disjoint rows; run them in parallel and charge
     // their model costs as parallel strands. Diagnostics go straight to
     // the shared context (relaxed atomics), so nothing needs merging.
+    // As in solve(): spawn only when the node is large enough to be worth
+    // a task (and to keep helping-wait chains shallow).
+    const bool spawn = m >= kSpawnGrain;
     pvm::Cost cost_a, cost_b;
     Rng rng_a = rng.split();
     Rng rng_b = rng.split();
     auto side_a = [&] {
       cost_a = correct_side(cut_inner, outer_tree, mid, end, force_punt,
-                            march_budget, rng_a);
+                            march_budget, spawn, rng_a);
     };
     auto side_b = [&] {
       cost_b = correct_side(cut_outer, inner_tree, begin, mid, force_punt,
-                            march_budget, rng_b);
+                            march_budget, spawn, rng_b);
     };
-    // As in solve(): spawn only when the node is large enough to be worth
-    // a task (and to keep helping-wait chains shallow).
-    if (m >= 8192) {
+    if (spawn) {
       par::parallel_invoke(pool_, side_a, side_b);
     } else {
       side_a();
@@ -402,15 +462,16 @@ class NearestNeighborEngine {
   }
 
   // Corrects the cut balls of one side against the opposite side's points
-  // [tb, te) using its partition subtree. Returns the model cost.
+  // [tb, te) using its partition subtree. `spawn` says whether this node
+  // is at or above the spawn grain. Returns the model cost.
   pvm::Cost correct_side(const std::vector<std::uint32_t>& cut_ids,
                          std::uint32_t target_tree, std::uint32_t tb,
                          std::uint32_t te, bool force_punt,
-                         std::size_t march_budget, Rng& rng) {
+                         std::size_t march_budget, bool spawn, Rng& rng) {
     pvm::Ledger ledger;
     if (cut_ids.empty()) return ledger.total();
     if (!force_punt) {
-      if (fast_correct(cut_ids, target_tree, te - tb, march_budget,
+      if (fast_correct(cut_ids, target_tree, te - tb, march_budget, spawn,
                        ledger)) {
         RunContext::add(ctx_.fast_corrections, 1);
         return ledger.total();
@@ -430,7 +491,8 @@ class NearestNeighborEngine {
   // untouched) if the frontier exceeds the budget at any level.
   bool fast_correct(const std::vector<std::uint32_t>& cut_ids,
                     std::uint32_t target_tree, std::size_t target_size,
-                    std::size_t march_budget, pvm::Ledger& ledger) {
+                    std::size_t march_budget, bool spawn,
+                    pvm::Ledger& ledger) {
     struct Active {
       std::uint32_t ball;  // index into cut_ids
       std::uint32_t node;  // forest slot
@@ -483,37 +545,42 @@ class NearestNeighborEngine {
                                static_cast<double>(target_size));
     }
 
-    // Leaf scans + row merges (rows are disjoint: parallel over balls).
+    // Leaf scans + row merges (rows are disjoint: parallel over balls,
+    // inline below the spawn grain). Every lane of every reached leaf is
+    // scanned: the Paper charging below counts scanned lanes.
     std::atomic<std::uint64_t> scan_work{0};
     std::atomic<std::uint64_t> changed{0};
-    par::parallel_for(
-        pool_, 0, cut_ids.size(),
-        [&](std::size_t b) {
-          std::uint32_t self = cut_ids[b];
-          knn::TopK merged(cfg_.k);
-          seed_from_row(self, merged);
-          std::uint64_t scans = 0;
-          for (std::uint32_t leaf_id : leaves[b]) {
-            // Blockwise closed-ball merge over the leaf's SoA payload
-            // (packed in solve_base): one kernel call per block chunk
-            // instead of one geo::distance2 per point.
-            const knn::PointBlockStore<D>& lb = *leaf_blocks_[leaf_id];
-            lb.scan(lb.all(), points_[self],
-                    [&](const double* dist2s, const std::uint32_t* ids,
-                        std::size_t lanes) {
-                      scans += lanes;
-                      knn::kernels::filter_closed_ball(
-                          dist2s, ids, lanes, radius2[b],
-                          [&](std::uint32_t other, double d2) {
-                            merged.offer(d2, other);
-                          });
-                    });
-          }
-          scan_work.fetch_add(scans, std::memory_order_relaxed);
-          if (rewrite_row(self, merged))
-            changed.fetch_add(1, std::memory_order_relaxed);
-        },
-        /*grain=*/16);
+    auto merge_ball = [&](std::size_t b) {
+      std::uint32_t self = cut_ids[b];
+      knn::TopK merged(cfg_.k);
+      seed_from_row(self, merged);
+      std::uint64_t scans = 0;
+      for (std::uint32_t leaf_id : leaves[b]) {
+        // Blockwise closed-ball merge over the leaf's SoA payload (packed
+        // in solve_base): one kernel call per block chunk instead of one
+        // geo::distance2 per point.
+        const knn::PointBlockStore<D>& lb = *leaf_blocks_[leaf_id];
+        lb.scan(lb.all(), points_[self],
+                [&](const double* dist2s, const std::uint32_t* ids,
+                    std::size_t lanes) {
+                  scans += lanes;
+                  knn::kernels::filter_closed_ball(
+                      dist2s, ids, lanes, radius2[b],
+                      [&](std::uint32_t other, double d2) {
+                        merged.offer(d2, other);
+                      });
+                });
+      }
+      scan_work.fetch_add(scans, std::memory_order_relaxed);
+      if (rewrite_row(self, merged))
+        changed.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (spawn) {
+      par::parallel_for(pool_, 0, cut_ids.size(), merge_ball,
+                        /*grain=*/16);
+    } else {
+      for (std::size_t b = 0; b < cut_ids.size(); ++b) merge_ball(b);
+    }
     RunContext::add(ctx_.corrected_balls,
                     changed.load(std::memory_order_relaxed));
 

@@ -17,9 +17,10 @@ namespace sepdc::knn {
 namespace detail {
 
 // One brute-force row: scan the whole block store against points[i],
-// self excluded, and write the sorted row. The store packs ids 0..n-1 in
-// input order, so offer order — and with it every tie-break — matches
-// the classic j-loop exactly.
+// self excluded, and write the sorted row. TopK keeps the k smallest
+// (dist2, id) entries whatever the offer order, and the kernel is
+// bit-identical to geo::distance2, so the row — tie-breaks included —
+// matches the classic j-loop exactly.
 template <int D>
 void brute_force_row(const PointBlockStore<D>& store,
                      std::span<const geo::Point<D>> points, std::size_t i,

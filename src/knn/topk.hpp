@@ -1,7 +1,8 @@
 // Bounded top-k selector over (distance², index) pairs.
 //
-// A small binary max-heap keeping the k smallest distances seen; ties are
-// broken by index so results are deterministic regardless of offer order.
+// A small binary max-heap keeping the k smallest entries under the total
+// order (dist2, index). With distinct indices the kept set is a function
+// of the offered set alone, so offer order never changes a result.
 #pragma once
 
 #include <algorithm>
@@ -38,10 +39,13 @@ class TopK {
   bool full() const { return heap_.size() == k_; }
 
   // Squared distance of the current k-th best (+inf while not full):
-  // candidates at or beyond this bound cannot improve the result.
+  // candidates at or beyond this bound cannot improve the result. With
+  // k = 0 nothing can be kept, so the bound is -inf and every block and
+  // every search box is pruned.
   double worst_dist2() const {
-    return full() ? heap_.front().dist2
-                  : std::numeric_limits<double>::infinity();
+    if (!full()) return std::numeric_limits<double>::infinity();
+    return k_ != 0 ? heap_.front().dist2
+                   : -std::numeric_limits<double>::infinity();
   }
 
   // Offers a candidate; keeps it iff it beats the current k-th best.
@@ -62,15 +66,15 @@ class TopK {
   // Offers one block's worth of kernel-computed candidates
   // (block_store.hpp scan shape). `count` is the valid lane count — pad
   // lanes must be excluded by count, not by distance, because offer()
-  // accepts any value while the heap is not yet full. Offer order is lane
-  // order, so results match the equivalent scalar loop exactly.
+  // accepts any value while the heap is not yet full.
   //
   // Fast path: once the heap is full, almost every block of a leaf scan
   // is entirely beyond the current k-th bound; a branchless sweep
   // rejects those blocks in ~two ops per lane before the per-lane offer
   // loop runs. The pre-check uses <= so candidates tying the bound still
-  // reach offer(), which adjudicates ties by index — the offers that
-  // actually happen are the same, in the same order, as the plain loop.
+  // reach offer(), which adjudicates ties by index. The sooner the bound
+  // tightens, the more blocks the sweep rejects, which is why the engine's
+  // base case offers a leaf's nearest blocks first.
   void offer_block(const double* dist2s, const std::uint32_t* ids,
                    std::size_t count,
                    std::uint32_t exclude = 0xffffffffu) {

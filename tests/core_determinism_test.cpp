@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "knn/kernels.hpp"
 #include "workload/generators.hpp"
 
 namespace sepdc::core {
@@ -32,8 +33,9 @@ std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>> shape_of(
   return shape;
 }
 
-void expect_same_run(const NearestNeighborEngine<2>::Output& a,
-                     const NearestNeighborEngine<2>::Output& b) {
+template <int D>
+void expect_same_run(const typename NearestNeighborEngine<D>::Output& a,
+                     const typename NearestNeighborEngine<D>::Output& b) {
   // Results.
   EXPECT_EQ(a.knn.neighbors, b.knn.neighbors);
   EXPECT_EQ(a.knn.dist2, b.knn.dist2);
@@ -61,6 +63,7 @@ void expect_same_run(const NearestNeighborEngine<2>::Output& a,
   EXPECT_EQ(a.diag.max_march_fraction, b.diag.max_march_fraction);
   EXPECT_EQ(a.diag.corrected_balls, b.diag.corrected_balls);
   EXPECT_EQ(a.diag.query_builds, b.diag.query_builds);
+  EXPECT_EQ(a.diag.query_build_height, b.diag.query_build_height);
   EXPECT_EQ(a.diag.points_by_level, b.diag.points_by_level);
   EXPECT_EQ(a.diag.cuts_by_level, b.diag.cuts_by_level);
   // Report mirrors the run.
@@ -82,7 +85,7 @@ TEST(Determinism, PoolSizeOneVersusFourIdenticalRuns) {
   par::ThreadPool quad(4);
   auto a = NearestNeighborEngine<2>::run(span, cfg, solo);
   auto b = NearestNeighborEngine<2>::run(span, cfg, quad);
-  expect_same_run(a, b);
+  expect_same_run<2>(a, b);
 }
 
 TEST(Determinism, HoldsUnderHostileConfigs) {
@@ -101,7 +104,7 @@ TEST(Determinism, HoldsUnderHostileConfigs) {
   par::ThreadPool quad(4);
   auto a = NearestNeighborEngine<2>::run(span, cfg, solo);
   auto b = NearestNeighborEngine<2>::run(span, cfg, quad);
-  expect_same_run(a, b);
+  expect_same_run<2>(a, b);
   EXPECT_GT(a.diag.punts, 0u);
 }
 
@@ -115,7 +118,71 @@ TEST(Determinism, RepeatedRunsOnSamePoolIdentical) {
   auto& pool = par::ThreadPool::global();
   auto a = NearestNeighborEngine<2>::run(span, cfg, pool);
   auto b = NearestNeighborEngine<2>::run(span, cfg, pool);
-  expect_same_run(a, b);
+  expect_same_run<2>(a, b);
+}
+
+// Every base-case and Fast-Correction distance comes from
+// kernels::dist2_blocks, whose paths are bit-identical (docs/kernels.md),
+// so which path the dispatcher picks cannot change a run.
+template <int D, class Run>
+void expect_dispatch_invariant(Run run) {
+  namespace kernels = knn::kernels;
+  struct ClearForcedIsa {
+    ~ClearForcedIsa() { kernels::clear_forced_isa(); }
+  } clear_on_exit;
+  kernels::force_isa(kernels::Isa::Scalar);
+  auto scalar = run();
+  kernels::clear_forced_isa();
+  ASSERT_EQ(kernels::active_isa(), kernels::Isa::Avx2);
+  auto dispatched = run();
+  expect_same_run<D>(scalar, dispatched);
+}
+
+TEST(Determinism, KernelDispatchDoesNotChangeTheRun) {
+  knn::kernels::clear_forced_isa();
+  if (!knn::kernels::avx2_usable() ||
+      knn::kernels::active_isa() != knn::kernels::Isa::Avx2)
+    GTEST_SKIP() << "the dispatched path is the scalar path here";
+  auto& pool = par::ThreadPool::global();
+
+  Rng rng(516);
+  const auto clustered = workload::gaussian_clusters<2>(12000, 6, 0.02, rng);
+  Config cfg;
+  cfg.k = 3;
+  cfg.seed = 7;
+  expect_dispatch_invariant<2>([&] {
+    return parallel_nearest_neighborhood<2>(
+        std::span<const geo::Point<2>>(clustered), cfg, pool);
+  });
+
+  // §5: every side punts through the query structure.
+  const auto uniform = workload::uniform_cube<2>(8000, rng);
+  cfg.k = 2;
+  expect_dispatch_invariant<2>([&] {
+    auto out = simple_parallel_dnc<2>(
+        std::span<const geo::Point<2>>(uniform), cfg, pool);
+    EXPECT_GT(out.diag.punts, 0u);
+    return out;
+  });
+
+  // Duplicates give (dist2, id) ties; 300 copies of one point make a node
+  // no separator can split, which the identical-points shortcut solves.
+  auto dups = workload::generate<2>(workload::Kind::Duplicates, 6000, rng);
+  dups.insert(dups.end(), 300, dups.front());
+  cfg.k = 4;
+  expect_dispatch_invariant<2>([&] {
+    auto out = parallel_nearest_neighborhood<2>(
+        std::span<const geo::Point<2>>(dups), cfg, pool);
+    EXPECT_GT(out.diag.brute_force_fallbacks, 0u);
+    return out;
+  });
+
+  const auto clustered3 = workload::gaussian_clusters<3>(8000, 4, 0.03, rng);
+  cfg.k = 5;
+  expect_dispatch_invariant<3>([&] {
+    return parallel_nearest_neighborhood<3>(
+        std::span<const geo::Point<3>>(clustered3), cfg, pool);
+  });
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "knn/brute_force.hpp"
 #include "knn/graph.hpp"
@@ -53,6 +55,71 @@ TEST(TopK, ZeroCapacity) {
   TopK t(0);
   t.offer(1.0, 0);
   EXPECT_EQ(t.size(), 0u);
+  // Nothing can be kept, so the bound rejects every candidate.
+  EXPECT_TRUE(t.full());
+  EXPECT_EQ(t.worst_dist2(), -std::numeric_limits<double>::infinity());
+  const double dist2s[3] = {0.0, 1.0, 2.0};
+  const std::uint32_t ids[3] = {4, 5, 6};
+  t.offer_block(dist2s, ids, 3);
+  t.offer_block(dist2s, ids, 3, /*exclude=*/5);
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t.take_sorted().empty());
+}
+
+// The k entries TopK keeps are the first k of a sort by (dist2, id),
+// whatever order they are offered in and whichever entry point offers
+// them. The engine's nearest-first base case relies on this.
+TEST(TopK, SelectionIgnoresOfferOrder) {
+  constexpr std::uint32_t kExclude = 999;
+  Rng rng(2024);
+  for (std::size_t n : {std::size_t{5}, std::size_t{37}}) {
+    // Few distinct distances, so most entries tie; ids are distinct but
+    // not in distance order.
+    std::vector<TopK::Entry> entries(n);
+    for (std::size_t i = 0; i < n; ++i)
+      entries[i] = {static_cast<double>(rng() % 4),
+                    static_cast<std::uint32_t>(3 * i + 1)};
+    std::shuffle(entries.begin(), entries.end(), rng);
+    std::vector<TopK::Entry> sorted = entries;
+    std::sort(sorted.begin(), sorted.end());
+
+    for (std::size_t k : {std::size_t{1}, std::size_t{8}, n - 1, n, n + 3}) {
+      const std::vector<TopK::Entry> expect(
+          sorted.begin(),
+          sorted.begin() + static_cast<std::ptrdiff_t>(std::min(k, n)));
+      for (int round = 0; round < 50; ++round) {
+        std::shuffle(entries.begin(), entries.end(), rng);
+
+        TopK one(k);
+        for (const TopK::Entry& e : entries) one.offer(e.dist2, e.index);
+        EXPECT_EQ(one.take_sorted(), expect) << "n=" << n << " k=" << k;
+
+        // 8-lane blocks ending in a short tail block, with the excluded
+        // id mixed in at distance 0, where it would enter most
+        // selections. Pad lanes hold -1.0, which beats every entry, so
+        // they must be cut by the lane count.
+        std::vector<TopK::Entry> lanes = entries;
+        lanes.insert(lanes.begin() + static_cast<std::ptrdiff_t>(
+                                         rng() % (lanes.size() + 1)),
+                     TopK::Entry{0.0, kExclude});
+        TopK blocked(k);
+        for (std::size_t base = 0; base < lanes.size(); base += 8) {
+          double dist2s[8];
+          std::uint32_t ids[8];
+          std::fill(dist2s, dist2s + 8, -1.0);
+          std::fill(ids, ids + 8, kExclude + 1);
+          const std::size_t count =
+              std::min<std::size_t>(8, lanes.size() - base);
+          for (std::size_t j = 0; j < count; ++j) {
+            dist2s[j] = lanes[base + j].dist2;
+            ids[j] = lanes[base + j].index;
+          }
+          blocked.offer_block(dist2s, ids, count, kExclude);
+        }
+        EXPECT_EQ(blocked.take_sorted(), expect) << "n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(KnnResult, PaddingSemantics) {
@@ -95,6 +162,20 @@ TEST(BruteForce, DuplicatePointsZeroDistance) {
     EXPECT_EQ(r.count(i), 2u);
     EXPECT_DOUBLE_EQ(r.radius(i), 0.0);
   }
+}
+
+TEST(BruteForce, ZeroKReturnsEmptyRows) {
+  std::vector<geo::Point<2>> pts{{{0.0, 0.0}}, {{1.0, 0.0}}, {{3.0, 0.0}}};
+  std::span<const geo::Point<2>> span(pts);
+  auto r = brute_force<2>(span, 0);
+  EXPECT_EQ(r.n, 3u);
+  EXPECT_EQ(r.k, 0u);
+  EXPECT_TRUE(r.neighbors.empty());
+  EXPECT_TRUE(r.dist2.empty());
+  auto& pool = par::ThreadPool::global();
+  auto parl = brute_force_parallel<2>(pool, span, 0);
+  EXPECT_EQ(parl.k, 0u);
+  EXPECT_TRUE(parl.neighbors.empty());
 }
 
 TEST(BruteForce, ParallelMatchesSequential) {

@@ -137,6 +137,21 @@ TEST(KdTree, EmptyAndSingleton) {
   EXPECT_EQ(best[0].index, 0u);
 }
 
+TEST(KdTree, ZeroKQueryIsEmpty) {
+  // k = 0 keeps nothing, so every box is pruned at the root.
+  std::vector<geo::Point<2>> pts{{{0.0, 0.0}}, {{1.0, 0.0}}, {{3.0, 0.0}}};
+  KdTree<2> tree{std::span<const geo::Point<2>>(pts)};
+  TopK best = tree.query(pts[0], 0);
+  EXPECT_EQ(best.size(), 0u);
+  EXPECT_TRUE(best.take_sorted().empty());
+
+  auto& pool = par::ThreadPool::global();
+  auto r = tree.all_knn(pool, 0);
+  EXPECT_EQ(r.n, 3u);
+  EXPECT_EQ(r.k, 0u);
+  EXPECT_TRUE(r.neighbors.empty());
+}
+
 TEST(KdTree, AllIdenticalPoints) {
   std::vector<geo::Point<2>> pts(64, geo::Point<2>{{1.0, 1.0}});
   KdTree<2> tree{std::span<const geo::Point<2>>(pts)};
